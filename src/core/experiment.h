@@ -96,6 +96,8 @@ struct FaultSummary {
   uint64_t degraded_reads = 0;     // reads served while remounted read-only
   uint64_t readonly_rejects = 0;   // mutations refused with kReadOnly
   uint64_t failed_ops = 0;         // workload ops absorbed by continue_on_error
+
+  bool operator==(const FaultSummary&) const = default;
 };
 
 struct RunResult {

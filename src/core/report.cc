@@ -132,17 +132,25 @@ std::string RenderNanoSuite(const std::vector<NanoResult>& results) {
   return table.Render();
 }
 
+std::string FormatCi95(const Summary& s, int precision) {
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict overlap
+  // inside `"literal" + std::string` chains.
+  std::string interval = "[";
+  interval += FormatDouble(s.ci95_lo(), precision);
+  interval += ", ";
+  interval += FormatDouble(s.ci95_hi(), precision);
+  interval += "]";
+  return interval;
+}
+
 std::string RenderComparison(const ComparisonReport& report) {
   std::ostringstream out;
   AsciiTable table;
   table.SetHeader({"system", "ops/s (mean)", "stddev", "95% CI"});
-  auto ci = [](const Summary& s) {
-    return "[" + FormatDouble(s.ci95_lo(), 1) + ", " + FormatDouble(s.ci95_hi(), 1) + "]";
-  };
   table.AddRow({report.name_a, FormatDouble(report.a.mean, 1),
-                FormatDouble(report.a.stddev, 1), ci(report.a)});
+                FormatDouble(report.a.stddev, 1), FormatCi95(report.a, 1)});
   table.AddRow({report.name_b, FormatDouble(report.b.mean, 1),
-                FormatDouble(report.b.stddev, 1), ci(report.b)});
+                FormatDouble(report.b.stddev, 1), FormatCi95(report.b, 1)});
   out << table.Render();
   out << "  Welch t = " << FormatDouble(report.welch.t, 2)
       << ", df = " << FormatDouble(report.welch.df, 1)

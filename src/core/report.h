@@ -43,6 +43,9 @@ std::string RenderNanoSuite(const std::vector<NanoResult>& results);
 
 std::string RenderComparison(const ComparisonReport& report);
 
+// "[lo, hi]": the 95% confidence interval of the mean, `precision` digits.
+std::string FormatCi95(const Summary& s, int precision);
+
 // Machine-readable companions.
 std::string CsvTimelines(const std::vector<std::string>& names,
                          const std::vector<std::vector<double>>& series, Nanos interval);

@@ -1,6 +1,7 @@
 #include "src/sim/block_allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace fsbench {
@@ -208,13 +209,21 @@ void BlockAllocator::Free(const Extent& extent) {
 bool BlockAllocator::IsAllocated(BlockId block) const { return TestBit(block); }
 
 bool BlockAllocator::CheckInvariants() const {
+  // A word at a time, cut at group boundaries: fsck scans the whole device
+  // (65M blocks on a 250 GiB SSD), where a bit-at-a-time loop dominates.
   uint64_t used = 0;
   std::vector<uint64_t> group_used(group_free_.size(), 0);
-  for (BlockId b = 0; b < total_blocks_; ++b) {
-    if (TestBit(b)) {
-      ++used;
-      ++group_used[GroupOf(b)];
+  for (BlockId b = 0; b < total_blocks_;) {
+    const uint64_t group = GroupOf(b);
+    const BlockId end = std::min({(b / 64 + 1) * 64, (group + 1) * group_blocks_, total_blocks_});
+    uint64_t bits = bitmap_[b / 64] >> (b % 64);
+    if (end - b < 64) {
+      bits &= (1ULL << (end - b)) - 1;
     }
+    const auto count = static_cast<uint64_t>(std::popcount(bits));
+    used += count;
+    group_used[group] += count;
+    b = end;
   }
   if (used != used_) {
     return false;

@@ -109,6 +109,8 @@ struct ArraySummary {
   uint64_t rebuilds_completed = 0;
   uint64_t rebuild_regions_copied = 0;
   bool data_loss = false;           // some set lost its last replica
+
+  bool operator==(const ArraySummary&) const = default;
 };
 
 class BlockArray : public BlockIo, public IoWriteErrorSink {

@@ -51,6 +51,8 @@ struct FlashTierStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
+
+  bool operator==(const FlashTierStats&) const = default;
 };
 
 class FlashTier {

@@ -11,21 +11,18 @@ IoScheduler::IoScheduler(DeviceModel* disk, SchedulerKind kind) : disk_(disk), k
   }
 }
 
-Nanos IoScheduler::QueueStart(const IoRequest& req, Nanos now) const {
-  if (channel_busy_.empty()) {
-    return std::max(now, busy_until_);
-  }
-  return std::max(now, channel_busy_[disk_->ChannelOf(req.lba)]);
+Nanos& IoScheduler::TimelineOf(const IoRequest& req) {
+  return channel_busy_.empty() ? busy_until_ : channel_busy_[disk_->ChannelOf(req.lba)];
+}
+
+Nanos IoScheduler::QueueStart(const IoRequest& req, Nanos now) {
+  return std::max(now, TimelineOf(req));
 }
 
 void IoScheduler::CommitDeviceEnd(const IoRequest& req, Nanos device_end) {
-  if (channel_busy_.empty()) {
-    busy_until_ = std::max(busy_until_, device_end);
-    return;
-  }
-  Nanos& channel = channel_busy_[disk_->ChannelOf(req.lba)];
-  channel = std::max(channel, device_end);
-  busy_until_ = std::max(busy_until_, channel);
+  Nanos& timeline = TimelineOf(req);
+  timeline = std::max(timeline, device_end);
+  busy_until_ = std::max(busy_until_, timeline);
 }
 
 void IoScheduler::RetireCompleted(Nanos now) {
@@ -87,56 +84,36 @@ std::optional<Nanos> IoScheduler::AttemptWithRetry(const IoRequest& req, Nanos s
   }
 }
 
-void IoScheduler::NotifyFailure(const IoRequest& req, Nanos at) {
-  if (observer_ != nullptr) {
-    observer_->OnIoComplete(req, at, /*ok=*/false);
+std::optional<Nanos> IoScheduler::Dispatch(const IoRequest& req, Nanos start) {
+  if (dispatch_log_ != nullptr) {
+    dispatch_log_->push_back(req.lba);
   }
-  if (error_sink_ != nullptr && req.kind == IoKind::kWrite) {
-    error_sink_->OnWriteError(req, at);
-  }
-}
-
-void IoScheduler::ServicePendingMultiQueue(Nanos from) {
-  // Per-channel FIFO: requests dispatch in submission order, each against
-  // its own channel's timeline, so the async backlog spreads over every
-  // channel instead of serialising on one. The swap-out protects against
-  // re-entrant submissions exactly as in the single-queue pass.
-  std::vector<PendingRequest> batch;
-  batch.swap(pending_);
-  for (const PendingRequest& pending : batch) {
-    const IoRequest& req = pending.req;
-    const Nanos t =
-        std::max({QueueStart(req, from), pending.submitted});
-    if (dispatch_log_ != nullptr) {
-      dispatch_log_->push_back(req.lba);
-    }
-    Nanos end = t;
-    Nanos device_end = t;
-    const std::optional<Nanos> completion = AttemptWithRetry(req, t, &end, &device_end);
-    ++stats_.async_serviced;
-    CommitDeviceEnd(req, device_end);
-    if (!completion.has_value()) {
-      ++stats_.async_errors;
-      NotifyFailure(req, end);
-      continue;
-    }
-    AdmitInflight(*completion);
+  Nanos end = start;
+  Nanos device_end = start;
+  const std::optional<Nanos> completion = AttemptWithRetry(req, start, &end, &device_end);
+  head_lba_ = req.lba + req.sector_count;
+  // The device frees up at device_end — failed attempts still occupied it,
+  // backoff gaps are reclaimed by the queue — while the request itself
+  // completes at *completion.
+  CommitDeviceEnd(req, device_end);
+  if (!completion.has_value()) {
     if (observer_ != nullptr) {
-      observer_->OnIoComplete(req, *completion, /*ok=*/true);
+      observer_->OnIoComplete(req, end, /*ok=*/false);
     }
+    if (error_sink_ != nullptr && req.kind == IoKind::kWrite) {
+      error_sink_->OnWriteError(req, end);
+    }
+    return std::nullopt;
   }
-  if (pending_.empty() && batch.capacity() > pending_.capacity()) {
-    batch.clear();
-    pending_.swap(batch);
+  AdmitInflight(*completion);
+  if (observer_ != nullptr) {
+    observer_->OnIoComplete(req, *completion, /*ok=*/true);
   }
+  return completion;
 }
 
 void IoScheduler::ServicePending(Nanos from) {
   if (pending_.empty()) {
-    return;
-  }
-  if (kind_ == SchedulerKind::kMultiQueue) {
-    ServicePendingMultiQueue(from);
     return;
   }
   if (kind_ == SchedulerKind::kElevator) {
@@ -153,37 +130,19 @@ void IoScheduler::ServicePending(Nanos from) {
                      [this](const PendingRequest& p) { return p.req.lba >= head_lba_; });
     std::rotate(pending_.begin(), ahead, pending_.end());
   }
-  Nanos t = std::max(busy_until_, from);
   // The service pass may re-enter the scheduler: a permanent write failure
   // notifies the error sink, and the file system's reaction (journal abort)
   // must not observe a half-serviced queue. Swap the batch out first.
   std::vector<PendingRequest> batch;
   batch.swap(pending_);
   for (const PendingRequest& pending : batch) {
-    const IoRequest& req = pending.req;
-    // Causality: a thread with an earlier cursor may trigger this pass, but
-    // the device cannot start a request before it was submitted.
-    t = std::max(t, pending.submitted);
-    if (dispatch_log_ != nullptr) {
-      dispatch_log_->push_back(req.lba);
-    }
-    Nanos end = t;
-    Nanos device_end = t;
-    const std::optional<Nanos> completion = AttemptWithRetry(req, t, &end, &device_end);
+    // Each request starts once its timeline (the device's, or its channel's
+    // in kMultiQueue mode) is free — and, causality, never before it was
+    // submitted, even when a thread with an earlier cursor triggers the pass.
+    const Nanos start = std::max(QueueStart(pending.req, from), pending.submitted);
     ++stats_.async_serviced;
-    head_lba_ = req.lba + req.sector_count;
-    if (!completion.has_value()) {
+    if (!Dispatch(pending.req, start).has_value()) {
       ++stats_.async_errors;
-      t = device_end;  // failed attempts still occupied the device
-      NotifyFailure(req, end);
-      continue;
-    }
-    // The device frees up at device_end (backoff gaps are reclaimed by the
-    // queue); the request itself completes at *completion.
-    t = device_end;
-    AdmitInflight(*completion);
-    if (observer_ != nullptr) {
-      observer_->OnIoComplete(req, *completion, /*ok=*/true);
     }
   }
   if (pending_.empty() && batch.capacity() > pending_.capacity()) {
@@ -192,7 +151,6 @@ void IoScheduler::ServicePending(Nanos from) {
     batch.clear();
     pending_.swap(batch);
   }
-  busy_until_ = std::max(t, busy_until_);
 }
 
 std::optional<Nanos> IoScheduler::SubmitSync(const IoRequest& req, Nanos now) {
@@ -204,27 +162,14 @@ std::optional<Nanos> IoScheduler::SubmitSync(const IoRequest& req, Nanos now) {
       std::max(stats_.max_queue_depth, inflight_.size() + pending_.size() + 1);
   ServicePending(now);
   const Nanos start = QueueStart(req, now);
-  if (dispatch_log_ != nullptr) {
-    dispatch_log_->push_back(req.lba);
-  }
-  Nanos end = start;
-  Nanos device_end = start;
-  const std::optional<Nanos> completion = AttemptWithRetry(req, start, &end, &device_end);
-  head_lba_ = req.lba + req.sector_count;
+  const std::optional<Nanos> completion = Dispatch(req, start);
   if (!completion.has_value()) {
     ++stats_.sync_errors;
-    CommitDeviceEnd(req, device_end);  // the failed attempts burned device time
-    NotifyFailure(req, end);
     return std::nullopt;
   }
-  CommitDeviceEnd(req, device_end);
-  AdmitInflight(*completion);
   stats_.total_sync_wait += *completion - now;
   stats_.total_sync_queue_delay += start - now;
-  if (observer_ != nullptr) {
-    observer_->OnIoComplete(req, *completion, /*ok=*/true);
-  }
-  return *completion;
+  return completion;
 }
 
 Nanos IoScheduler::SubmitAsync(const IoRequest& req, Nanos now) {
@@ -242,12 +187,9 @@ Nanos IoScheduler::SubmitAsync(const IoRequest& req, Nanos now) {
   // wait out the whole timeline. The stall is the producer's to pay —
   // that is the point: a writer outrunning the device must feel it.
   ServicePending(now);
-  Nanos free_at = busy_until_;
-  if (!channel_busy_.empty()) {
-    free_at = channel_busy_[0];
-    for (const Nanos busy : channel_busy_) {
-      free_at = std::min(free_at, busy);
-    }
+  Nanos free_at = busy_until_;  // the max over every channel in kMultiQueue mode
+  for (const Nanos busy : channel_busy_) {
+    free_at = std::min(free_at, busy);
   }
   const Nanos admit = std::max(now, free_at);
   if (admit > now) {

@@ -20,6 +20,12 @@
 // per channel. `busy_until()` stays the max over every channel (the stable
 // point and replica-choice consumers need the device-wide horizon).
 //
+// Every kind shares one dispatch loop: a single-queue device is simply a
+// one-timeline device. The elevator's C-SCAN sort of the pending batch is
+// the only kind-specific step; then each request starts at
+// max(its timeline's busy-until, its submission time) and its device end is
+// committed back to that timeline before the next request is placed.
+//
 // Queue-depth and wait accounting reflect the device's real outstanding
 // queue: admitted-but-not-yet-completed requests are tracked in a completion
 // min-heap and retired as later submissions observe time passing, so
@@ -126,6 +132,8 @@ struct IoSchedulerStats {
   size_t max_queue_depth = 0;        // in-flight + queued async + the arriving request
   uint64_t async_throttle_stalls = 0;   // submissions that hit the bounded queue
   Nanos total_async_throttle_time = 0;  // producer stall charged by back-pressure
+
+  bool operator==(const IoSchedulerStats&) const = default;
 };
 
 class IoScheduler : public BlockIo {
@@ -205,20 +213,25 @@ class IoScheduler : public BlockIo {
   std::optional<Nanos> AttemptWithRetry(const IoRequest& req, Nanos start, Nanos* end,
                                         Nanos* device_end);
 
-  // Shared permanent-failure tail: observer + write-error sink.
-  void NotifyFailure(const IoRequest& req, Nanos at);
+  // Issues `req` on the device at `start` (sync and async alike): runs the
+  // retry policy, commits the device time to the request's timeline, and
+  // notifies the completion observer — and, on permanent failure, the
+  // write-error sink. Returns the completion time, or std::nullopt.
+  std::optional<Nanos> Dispatch(const IoRequest& req, Nanos start);
 
-  // Services pending async requests starting no earlier than `from`.
+  // Services pending async requests starting no earlier than `from`: the
+  // one dispatch loop for every kind (only kElevator reorders the batch
+  // first), each request onto its QueueStart timeline.
   void ServicePending(Nanos from);
-  // kMultiQueue variant: FIFO dispatch, each request onto its channel's
-  // timeline so distinct channels overlap.
-  void ServicePendingMultiQueue(Nanos from);
 
-  // Earliest start for a request arriving at `now`: the owning channel's
-  // timeline in kMultiQueue mode, the single device timeline otherwise.
-  Nanos QueueStart(const IoRequest& req, Nanos now) const;
-  // Credits the device time of a finished attempt back to the right
-  // timeline (channel + device-wide max, or just the device timeline).
+  // The busy-until timeline `req` queues on: its channel's in kMultiQueue
+  // mode, the single device timeline (busy_until_ itself) otherwise. The
+  // only place the scheduler kinds' timelines differ.
+  Nanos& TimelineOf(const IoRequest& req);
+  // Earliest start for a request arriving at `now` (its timeline's end).
+  Nanos QueueStart(const IoRequest& req, Nanos now);
+  // Credits the device time of a finished attempt to the request's timeline
+  // and keeps busy_until_ the device-wide max.
   void CommitDeviceEnd(const IoRequest& req, Nanos device_end);
 
   // Retires in-flight completions at or before `now`.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/util/fields.h"
 #include "src/util/rng.h"
 
 namespace fsbench {
@@ -246,48 +247,35 @@ Nanos Machine::DrainAll(Nanos now) {
   return idle;
 }
 
+namespace {
+
+// Field-wise running sum: every counter a stats struct declares is folded,
+// with no per-field list to fall out of date.
+template <typename Stats>
+void AddFields(Stats& total, const Stats& s) {
+  ForEachField(total, s, [](auto& sum, const auto& value) { sum += value; });
+}
+
+}  // namespace
+
 DiskStats Machine::AggregateDiskStats() const {
   DiskStats total;
   for (const std::unique_ptr<DeviceModel>& disk : disks_) {
-    const DiskStats& s = disk->stats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.sectors_read += s.sectors_read;
-    total.sectors_written += s.sectors_written;
-    total.seeks += s.seeks;
-    total.buffer_hits += s.buffer_hits;
-    total.sequential_hits += s.sequential_hits;
-    total.total_service_time += s.total_service_time;
-    total.total_seek_time += s.total_seek_time;
-    total.total_rotation_time += s.total_rotation_time;
-    total.total_transfer_time += s.total_transfer_time;
-    total.errors += s.errors;
-    total.total_fault_time += s.total_fault_time;
-    total.gc_page_moves += s.gc_page_moves;
-    total.gc_erases += s.gc_erases;
-    total.total_gc_time += s.total_gc_time;
+    AddFields(total, disk->stats());
   }
   return total;
 }
 
 IoSchedulerStats Machine::AggregateSchedulerStats() const {
   IoSchedulerStats total;
+  size_t max_queue_depth = 0;
   for (const std::unique_ptr<IoScheduler>& scheduler : schedulers_) {
-    const IoSchedulerStats& s = scheduler->stats();
-    total.sync_requests += s.sync_requests;
-    total.async_requests += s.async_requests;
-    total.async_serviced += s.async_serviced;
-    total.async_errors += s.async_errors;
-    total.sync_errors += s.sync_errors;
-    total.retries += s.retries;
-    total.remaps += s.remaps;
-    total.retry_backoff_time += s.retry_backoff_time;
-    total.total_sync_wait += s.total_sync_wait;
-    total.total_sync_queue_delay += s.total_sync_queue_delay;
-    total.max_queue_depth = std::max(total.max_queue_depth, s.max_queue_depth);
-    total.async_throttle_stalls += s.async_throttle_stalls;
-    total.total_async_throttle_time += s.total_async_throttle_time;
+    AddFields(total, scheduler->stats());
+    max_queue_depth = std::max(max_queue_depth, scheduler->stats().max_queue_depth);
   }
+  // A queue depth is a high-water mark, not a count: the array's deepest
+  // device queue, not the sum over devices.
+  total.max_queue_depth = max_queue_depth;
   return total;
 }
 

@@ -51,6 +51,8 @@ struct PageCacheStats {
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   uint64_t dirty_evictions = 0;
+
+  bool operator==(const PageCacheStats&) const = default;
 };
 
 class PageCache {

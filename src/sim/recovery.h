@@ -56,6 +56,8 @@ struct CrashReport {
   // Filled by the harness's replay check (experiment.cc): the recovered
   // state passed CheckConsistency.
   bool recovered_consistent = false;
+
+  bool operator==(const CrashReport&) const = default;
 };
 
 // Pulls the plug on `machine` at `crash_time` and simulates mount-time

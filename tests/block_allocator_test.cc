@@ -124,6 +124,17 @@ TEST(BlockAllocatorTest, TrailingShortGroupAccounting) {
   EXPECT_TRUE(alloc.CheckInvariants());
 }
 
+TEST(BlockAllocatorTest, InvariantsHoldWhenGroupsEndMidWord) {
+  BlockAllocator alloc(1000, 100);  // group boundaries fall inside bitmap words
+  alloc.ReserveRange(Extent{90, 20});  // straddles the group 0 / group 1 boundary
+  for (BlockId goal = 0; goal < 1000; goal += 7) {
+    ASSERT_TRUE(alloc.AllocateBlock(goal).has_value());
+  }
+  EXPECT_TRUE(alloc.CheckInvariants());
+  alloc.Free(Extent{95, 10});
+  EXPECT_TRUE(alloc.CheckInvariants());
+}
+
 class AllocatorPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AllocatorPropertySweep, RandomAllocFreeKeepsInvariants) {

@@ -13,6 +13,7 @@
 
 #include "src/sim/disk_model.h"
 #include "src/sim/machine.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
@@ -331,17 +332,7 @@ TEST(BlockArrayTest, IdenticalSequencesProduceIdenticalSummaries) {
   const auto first = run();
   const auto second = run();
   EXPECT_EQ(first.second, second.second);
-  const ArraySummary& x = first.first;
-  const ArraySummary& y = second.first;
-  EXPECT_EQ(x.reads, y.reads);
-  EXPECT_EQ(x.degraded_reads, y.degraded_reads);
-  EXPECT_EQ(x.mirror_rescues, y.mirror_rescues);
-  EXPECT_EQ(x.device_failures, y.device_failures);
-  EXPECT_EQ(x.scrub_regions_scanned, y.scrub_regions_scanned);
-  EXPECT_EQ(x.scrub_detections, y.scrub_detections);
-  EXPECT_EQ(x.scrub_repairs, y.scrub_repairs);
-  EXPECT_EQ(x.rebuild_regions_copied, y.rebuild_regions_copied);
-  EXPECT_EQ(x.rebuilds_completed, y.rebuilds_completed);
+  EXPECT_EQ(first.first, second.first);
 }
 
 // --- Machine integration ---
@@ -407,22 +398,9 @@ TEST(BlockArrayMachineTest, SingleDeviceArrayIsByteIdenticalToNoArray) {
   drive(mirrored);
 
   EXPECT_EQ(plain.clock().now(), mirrored.clock().now());
-  const DiskStats a = plain.AggregateDiskStats();
-  const DiskStats b = mirrored.AggregateDiskStats();
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.sectors_read, b.sectors_read);
-  EXPECT_EQ(a.sectors_written, b.sectors_written);
-  EXPECT_EQ(a.seeks, b.seeks);
-  EXPECT_EQ(a.total_service_time, b.total_service_time);
-  const IoSchedulerStats sa = plain.AggregateSchedulerStats();
-  const IoSchedulerStats sb = mirrored.AggregateSchedulerStats();
-  EXPECT_EQ(sa.sync_requests, sb.sync_requests);
-  EXPECT_EQ(sa.async_requests, sb.async_requests);
-  EXPECT_EQ(sa.total_sync_wait, sb.total_sync_wait);
-  EXPECT_EQ(sa.max_queue_depth, sb.max_queue_depth);
-  EXPECT_EQ(plain.vfs().stats().data_page_hits, mirrored.vfs().stats().data_page_hits);
-  EXPECT_EQ(plain.vfs().stats().writeback_pages, mirrored.vfs().stats().writeback_pages);
+  EXPECT_EQ(plain.AggregateDiskStats(), mirrored.AggregateDiskStats());
+  EXPECT_EQ(plain.AggregateSchedulerStats(), mirrored.AggregateSchedulerStats());
+  EXPECT_EQ(plain.vfs().stats(), mirrored.vfs().stats());
 }
 
 }  // namespace

@@ -9,218 +9,31 @@
 // accumulation order, scheduler ties).
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <functional>
 #include <memory>
 
 #include "src/core/experiment.h"
 #include "src/core/workloads/postmark_like.h"
 #include "src/sim/recovery.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
 
-// FNV-1a over explicitly appended fields: field order is part of the
-// digest, so a value migrating between fields cannot cancel out.
-class Digest {
- public:
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Bool(bool v) { U64(v ? 1 : 0); }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 14695981039346656037ULL;
-};
-
-void DigestHistogram(Digest& d, const LatencyHistogram& h) {
-  d.U64(h.total());
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    d.U64(h.count(b));
-  }
-}
-
-void DigestRunningStats(Digest& d, const RunningStats& s) {
-  d.U64(s.count());
-  d.F64(s.mean());
-  d.F64(s.variance());
-  d.F64(s.min());
-  d.F64(s.max());
-  d.F64(s.sum());
-}
-
-void DigestVfsStats(Digest& d, const VfsStats& s) {
-  d.U64(s.reads);
-  d.U64(s.writes);
-  d.U64(s.creates);
-  d.U64(s.unlinks);
-  d.U64(s.stats_calls);
-  d.U64(s.opens);
-  d.U64(s.fsyncs);
-  d.I64(s.bytes_read);
-  d.I64(s.bytes_written);
-  d.U64(s.data_page_hits);
-  d.U64(s.data_page_misses);
-  d.U64(s.flash_hits);
-  d.U64(s.demand_requests);
-  d.U64(s.readahead_pages);
-  d.U64(s.writeback_pages);
-  d.U64(s.io_errors);
-  d.U64(s.write_errors);
-  d.U64(s.meta_write_errors);
-  d.U64(s.degraded_reads);
-  d.U64(s.readonly_rejects);
-}
-
-void DigestDiskStats(Digest& d, const DiskStats& s) {
-  d.U64(s.reads);
-  d.U64(s.writes);
-  d.U64(s.sectors_read);
-  d.U64(s.sectors_written);
-  d.U64(s.seeks);
-  d.U64(s.buffer_hits);
-  d.U64(s.sequential_hits);
-  d.I64(s.total_service_time);
-  d.I64(s.total_seek_time);
-  d.I64(s.total_rotation_time);
-  d.I64(s.total_transfer_time);
-  d.U64(s.errors);
-  d.I64(s.total_fault_time);
-  d.U64(s.gc_page_moves);
-  d.U64(s.gc_erases);
-  d.I64(s.total_gc_time);
-}
-
-void DigestSchedulerStats(Digest& d, const IoSchedulerStats& s) {
-  d.U64(s.sync_requests);
-  d.U64(s.async_requests);
-  d.U64(s.async_serviced);
-  d.U64(s.async_errors);
-  d.U64(s.sync_errors);
-  d.U64(s.retries);
-  d.U64(s.remaps);
-  d.I64(s.retry_backoff_time);
-  d.I64(s.total_sync_wait);
-  d.I64(s.total_sync_queue_delay);
-  d.U64(s.max_queue_depth);
-  d.U64(s.async_throttle_stalls);
-  d.I64(s.total_async_throttle_time);
-}
-
-void DigestFaultSummary(Digest& d, const FaultSummary& f) {
-  d.U64(f.device_errors);
-  d.U64(f.transient_faults);
-  d.U64(f.persistent_faults);
-  d.U64(f.slow_ios);
-  d.U64(f.retries);
-  d.I64(f.retry_backoff_time);
-  d.U64(f.remapped_regions);
-  d.U64(f.spare_regions_left);
-  d.U64(f.sync_io_failures);
-  d.U64(f.async_io_failures);
-  d.U64(f.meta_io_failures);
-  d.Bool(f.journal_aborted);
-  d.Bool(f.remounted_ro);
-  d.U64(f.degraded_reads);
-  d.U64(f.readonly_rejects);
-  d.U64(f.failed_ops);
-}
-
-void DigestArraySummary(Digest& d, const ArraySummary& a) {
-  d.U64(a.devices);
-  d.U64(a.reads);
-  d.U64(a.writes);
-  d.U64(a.degraded_reads);
-  d.U64(a.mirror_rescues);
-  d.U64(a.lost_stripes);
-  d.U64(a.replica_write_errors);
-  d.U64(a.device_failures);
-  d.U64(a.scrub_regions_scanned);
-  d.U64(a.scrub_detections);
-  d.U64(a.scrub_preempted);
-  d.U64(a.scrub_repairs);
-  d.U64(a.scrub_unrepairable);
-  d.U64(a.rebuilds_started);
-  d.U64(a.rebuilds_completed);
-  d.U64(a.rebuild_regions_copied);
-  d.Bool(a.data_loss);
-}
-
-void DigestCrashReport(Digest& d, const CrashReport& r) {
-  d.I64(r.crash_time);
-  d.U64(r.ops_issued);
-  d.U64(r.recovery_watermark);
-  d.Bool(r.used_journal);
-  d.U64(r.durable_txns);
-  d.U64(r.replayed_txns);
-  d.U64(r.torn_txns);
-  d.U64(r.replay_log_blocks);
-  d.U64(r.replay_home_blocks);
-  d.U64(r.fsck_blocks);
-  d.I64(r.recovery_latency);
-  d.U64(r.dirty_pages_lost);
-  d.U64(r.volatile_blocks);
-  d.Bool(r.recovered_consistent);
-}
-
-uint64_t DigestRunResult(const RunResult& r) {
-  Digest d;
-  d.Bool(r.ok);
-  d.U64(static_cast<uint64_t>(r.error));
-  d.U64(r.ops);
-  d.I64(r.measured_duration);
-  d.F64(r.ops_per_second);
-  DigestRunningStats(d, r.latency);
-  DigestHistogram(d, r.histogram);
-  d.U64(r.throughput_series.size());
-  for (double v : r.throughput_series) {
-    d.F64(v);
-  }
-  d.I64(r.timeline_interval);
-  d.U64(r.histogram_slices.size());
-  for (const LatencyHistogram& h : r.histogram_slices) {
-    DigestHistogram(d, h);
-  }
-  d.I64(r.histogram_slice);
-  d.F64(r.cache_hit_ratio);
-  DigestVfsStats(d, r.vfs_stats);
-  DigestDiskStats(d, r.disk_stats);
-  DigestSchedulerStats(d, r.scheduler_stats);
-  d.U64(r.per_thread_ops.size());
-  for (uint64_t ops : r.per_thread_ops) {
-    d.U64(ops);
-  }
-  d.U64(r.failed_ops);
-  DigestFaultSummary(d, r.fault);
-  DigestArraySummary(d, r.array);
-  d.Bool(r.crash_report.has_value());
-  if (r.crash_report.has_value()) {
-    DigestCrashReport(d, *r.crash_report);
-  }
-  return d.value();
-}
-
 // The canonical gate configuration: 4 simulated threads of fsync-heavy
-// postmark on ext3 under a small cache, crashing mid-run with the replay
-// consistency check on.
-MachineFactory GateMachine(FsKind kind, JournalMode mode) {
-  return [kind, mode](uint64_t seed) {
+// postmark under a small cache (ordered journaling on ext3/xfs), crashing
+// mid-run with the replay consistency check on. `scenario` layers a test's
+// faults, array or device kind on top of the small-cache machine.
+MachineFactory GateMachine(FsKind kind,
+                           const std::function<void(MachineConfig&)>& scenario = {}) {
+  return [kind, scenario](uint64_t seed) {
     MachineConfig config;
     config.ram = 110 * kMiB;
     config.os_reserved = 102 * kMiB;
-    config.journal.mode = mode;
-    config.xfs_journal.mode = mode;
     config.seed = seed;
+    if (scenario) {
+      scenario(config);
+    }
     return std::make_unique<Machine>(kind, config);
   };
 }
@@ -246,18 +59,30 @@ ExperimentConfig GateConfig() {
 
 class DeterminismGate : public ::testing::TestWithParam<FsKind> {};
 
-TEST_P(DeterminismGate, RunTwiceBitIdenticalDigest) {
-  const ExperimentConfig config = GateConfig();
-  const MachineFactory machines = GateMachine(GetParam(), JournalMode::kOrdered);
-
+// Runs the experiment twice: every run must digest bit-identically to its
+// twin, and the two seeds must NOT collide (a constant digest would also
+// "pass"). Returns the first experiment for the caller's coverage checks.
+ExperimentResult RunTwiceExpectIdentical(const ExperimentConfig& config,
+                                         const MachineFactory& machines) {
   const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
   const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
+  EXPECT_EQ(first.runs.size(), second.runs.size());
+  for (size_t i = 0; i < first.runs.size() && i < second.runs.size(); ++i) {
     EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
         << "run " << i << " digest diverged — the (config, seed) contract is broken";
   }
+  EXPECT_GE(first.runs.size(), 2u);
+  if (first.runs.size() >= 2) {
+    EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  }
+  return first;
+}
+
+TEST_P(DeterminismGate, RunTwiceBitIdenticalDigest) {
+  const ExperimentConfig config = GateConfig();
+  const MachineFactory machines = GateMachine(GetParam());
+
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   // The gate must be exercising what it claims to: a crash that recovered
   // consistently on every run, with real multi-thread interleaving.
   for (const RunResult& run : first.runs) {
@@ -265,9 +90,6 @@ TEST_P(DeterminismGate, RunTwiceBitIdenticalDigest) {
     EXPECT_TRUE(run.crash_report->recovered_consistent);
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
-  // Different seeds must NOT collide (a constant digest would also "pass").
-  ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
 }
 
 // The same purity contract under the device-fault engine: retries, backoff,
@@ -277,35 +99,20 @@ TEST_P(DeterminismGate, FaultyRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();
   config.crash.reset();  // degraded mode instead of a crash
   config.continue_on_error = true;
-  const FsKind kind = GetParam();
-  const MachineFactory machines = [kind](uint64_t seed) {
-    MachineConfig machine_config;
-    machine_config.ram = 110 * kMiB;
-    machine_config.os_reserved = 102 * kMiB;
-    machine_config.seed = seed;
+  const MachineFactory machines = GateMachine(GetParam(), [](MachineConfig& machine_config) {
     machine_config.faults.transient_rate = 0.05;
     machine_config.faults.persistent_rate = 0.01;
     machine_config.faults.slow_rate = 0.01;
     machine_config.faults.region_sectors = 256;
     machine_config.retry = RetryPolicy{4, FromMillis(0.2), 2.0, /*remap=*/true};
-    return std::make_unique<Machine>(kind, machine_config);
-  };
+  });
 
-  const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
-  const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "faulty run " << i << " digest diverged — fault draws are not seed-pure";
-  }
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   // The gate must actually be exercising the fault machinery.
   for (const RunResult& run : first.runs) {
     EXPECT_GT(run.fault.device_errors, 0u);
     EXPECT_GT(run.fault.retries, 0u);
   }
-  ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
 }
 
 // Crash × fault interaction (the two scenario axes together): a run that
@@ -317,27 +124,14 @@ TEST_P(DeterminismGate, FaultyRunTwiceBitIdenticalDigest) {
 TEST_P(DeterminismGate, CrashWithFaultsRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();  // crash at op 600, replay check on
   config.continue_on_error = true;
-  const FsKind kind = GetParam();
-  const MachineFactory machines = [kind](uint64_t seed) {
-    MachineConfig machine_config;
-    machine_config.ram = 110 * kMiB;
-    machine_config.os_reserved = 102 * kMiB;
-    machine_config.seed = seed;
+  const MachineFactory machines = GateMachine(GetParam(), [](MachineConfig& machine_config) {
     machine_config.faults.transient_rate = 0.05;
     machine_config.faults.persistent_rate = 0.02;
     machine_config.faults.region_sectors = 256;
     machine_config.retry = RetryPolicy{4, FromMillis(0.2), 2.0, /*remap=*/true};
-    return std::make_unique<Machine>(kind, machine_config);
-  };
+  });
 
-  const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
-  const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "crash+fault run " << i << " digest diverged";
-  }
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   // Both axes must really have fired: remaps before the crash, and a crash
   // whose replayed prefix still fscks clean.
   uint64_t remaps = 0;
@@ -358,12 +152,7 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();
   config.crash.reset();
   config.continue_on_error = true;
-  const FsKind kind = GetParam();
-  const MachineFactory machines = [kind](uint64_t seed) {
-    MachineConfig machine_config;
-    machine_config.ram = 110 * kMiB;
-    machine_config.os_reserved = 102 * kMiB;
-    machine_config.seed = seed;
+  const MachineFactory machines = GateMachine(GetParam(), [](MachineConfig& machine_config) {
     machine_config.faults.transient_rate = 0.02;
     machine_config.faults.persistent_rate = 0.01;
     machine_config.faults.region_sectors = 256;
@@ -373,17 +162,9 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
     machine_config.array.devices = 2;
     machine_config.array.hot_spares = 1;
     machine_config.array.scrub = true;
-    return std::make_unique<Machine>(kind, machine_config);
-  };
+  });
 
-  const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
-  const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "degraded-array run " << i << " digest diverged — the array is not seed-pure";
-  }
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   // The gate must actually be exercising the degraded machinery: a noticed
   // device death, a rebuild, and scrub coverage.
   for (const RunResult& run : first.runs) {
@@ -393,8 +174,6 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
     EXPECT_GT(run.array.scrub_regions_scanned, 0u);
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
-  ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
 }
 
 // The multi-queue SSD under the canonical gate scenario: 4 threads of
@@ -404,31 +183,16 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
 // the digest pins it to being a pure function of the request sequence.
 TEST_P(DeterminismGate, SsdRunTwiceBitIdenticalDigest) {
   const ExperimentConfig config = GateConfig();
-  const FsKind kind = GetParam();
-  const MachineFactory machines = [kind](uint64_t seed) {
-    MachineConfig machine_config;
-    machine_config.ram = 110 * kMiB;
-    machine_config.os_reserved = 102 * kMiB;
+  const MachineFactory machines = GateMachine(GetParam(), [](MachineConfig& machine_config) {
     machine_config.device = DeviceKind::kSsd;
-    machine_config.seed = seed;
-    return std::make_unique<Machine>(kind, machine_config);
-  };
+  });
 
-  const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
-  const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "SSD run " << i << " digest diverged — the FTL is not request-pure";
-  }
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   for (const RunResult& run : first.runs) {
     ASSERT_TRUE(run.crash_report.has_value());
     EXPECT_TRUE(run.crash_report->recovered_consistent);
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
-  ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
 }
 
 // A mixed mirror — flash primary, spinning secondary — under faults, a
@@ -440,12 +204,7 @@ TEST_P(DeterminismGate, SsdMirrorRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();
   config.crash.reset();
   config.continue_on_error = true;
-  const FsKind kind = GetParam();
-  const MachineFactory machines = [kind](uint64_t seed) {
-    MachineConfig machine_config;
-    machine_config.ram = 110 * kMiB;
-    machine_config.os_reserved = 102 * kMiB;
-    machine_config.seed = seed;
+  const MachineFactory machines = GateMachine(GetParam(), [](MachineConfig& machine_config) {
     machine_config.faults.transient_rate = 0.02;
     machine_config.faults.persistent_rate = 0.01;
     machine_config.faults.region_sectors = 256;
@@ -456,25 +215,15 @@ TEST_P(DeterminismGate, SsdMirrorRunTwiceBitIdenticalDigest) {
     machine_config.array.hot_spares = 1;
     machine_config.array.scrub = true;
     machine_config.array.device_kinds = {DeviceKind::kSsd, DeviceKind::kHdd};
-    return std::make_unique<Machine>(kind, machine_config);
-  };
+  });
 
-  const ExperimentResult first = Experiment(config).Run(machines, GateWorkload());
-  const ExperimentResult second = Experiment(config).Run(machines, GateWorkload());
-
-  ASSERT_EQ(first.runs.size(), second.runs.size());
-  for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "SSD-mirror run " << i << " digest diverged";
-  }
+  const ExperimentResult first = RunTwiceExpectIdentical(config, machines);
   for (const RunResult& run : first.runs) {
     EXPECT_EQ(run.array.devices, 3u);
     EXPECT_EQ(run.array.device_failures, 1u);
     EXPECT_EQ(run.array.rebuilds_started, 1u);
     EXPECT_GT(run.array.scrub_regions_scanned, 0u);
   }
-  ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFs, DeterminismGate,

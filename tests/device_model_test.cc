@@ -15,6 +15,7 @@
 #include "src/sim/disk_model.h"
 #include "src/sim/ssd_model.h"
 #include "src/util/rng.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
@@ -53,9 +54,7 @@ TEST_P(DeviceConformance, DeterministicFromParamsAndSeed) {
     ASSERT_EQ(ra.service, rb.service) << "op " << i;
     ASSERT_EQ(ra.fault, rb.fault) << "op " << i;
   }
-  EXPECT_EQ(a->stats().total_service_time, b->stats().total_service_time);
-  EXPECT_EQ(a->stats().reads, b->stats().reads);
-  EXPECT_EQ(a->stats().writes, b->stats().writes);
+  EXPECT_EQ(a->stats(), b->stats());
 }
 
 TEST_P(DeviceConformance, FaultPlanVerdictsMatchAcrossKinds) {
@@ -153,9 +152,7 @@ TEST_P(DeviceConformance, RegionLatentBadIsAPureProbe) {
     EXPECT_TRUE(device->RegionLatentBad(bad_lba, 0));
   }
   // No stats movement, no state movement: probing is free and repeatable.
-  EXPECT_EQ(device->stats().errors, before.errors);
-  EXPECT_EQ(device->stats().reads, before.reads);
-  EXPECT_EQ(device->stats().total_service_time, before.total_service_time);
+  EXPECT_EQ(device->stats(), before);
   // A remapped region stops reporting latent-bad (it is repaired).
   ASSERT_TRUE(device->RemapRegion(bad_lba));
   EXPECT_FALSE(device->RegionLatentBad(bad_lba, 0));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/workloads/random_read.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
@@ -42,11 +43,7 @@ TEST(ExperimentTest, DeterministicForSameConfig) {
   config.prewarm = true;
   const ExperimentResult a = Experiment(config).Run(PaperMachine(), SmallRandomRead());
   const ExperimentResult b = Experiment(config).Run(PaperMachine(), SmallRandomRead());
-  ASSERT_EQ(a.runs.size(), b.runs.size());
-  for (size_t i = 0; i < a.runs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.runs[i].ops_per_second, b.runs[i].ops_per_second);
-    EXPECT_EQ(a.runs[i].ops, b.runs[i].ops);
-  }
+  EXPECT_EQ(DigestOf(a), DigestOf(b));  // every field of every run, bit for bit
 }
 
 TEST(ExperimentTest, DifferentBaseSeedChangesResults) {

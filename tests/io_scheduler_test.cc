@@ -6,6 +6,7 @@
 
 #include "src/sim/clock.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/ssd_model.h"
 
 namespace fsbench {
 namespace {
@@ -234,6 +235,106 @@ TEST(IoSchedulerTest, MaxQueueDepthCountsSyncAndInflightRequests) {
   ASSERT_TRUE(f.Sync(260'000'000).has_value());
   EXPECT_EQ(f.scheduler.inflight(), 1u);
   EXPECT_EQ(f.scheduler.stats().max_queue_depth, 4u);
+}
+
+// --- kMultiQueue over an SsdModel ------------------------------------------
+
+struct MultiQueueFixture {
+  SsdParams params = [] {
+    SsdParams p;
+    p.capacity = kGiB;  // keeps the FTL's block table small
+    return p;
+  }();
+  SsdModel ssd{params};
+  IoScheduler scheduler{&ssd, SchedulerKind::kMultiQueue};
+
+  // First LBA of the `n`-th page striped onto `channel` (pages stripe
+  // round-robin over the channels).
+  uint64_t Lba(uint32_t channel, uint64_t n = 0) const {
+    return (n * params.channels + channel) * ssd.sectors_per_page();
+  }
+  // One-page read, submitted at `now`; returns the admission time.
+  Nanos Async(uint64_t lba, Nanos now = 0) {
+    return scheduler.SubmitAsync(
+        {IoKind::kRead, lba, static_cast<uint32_t>(ssd.sectors_per_page())}, now);
+  }
+  // Service time of a one-page read: flat on flash.
+  Nanos ReadService() const {
+    return params.command_overhead + params.read_latency + ssd.page_transfer_time();
+  }
+};
+
+TEST(MultiQueueSchedulerTest, DistinctChannelsOverlapAndOneChannelSerializes) {
+  MultiQueueFixture f;
+  ASSERT_EQ(f.ssd.ChannelOf(f.Lba(0)), 0u);
+  ASSERT_EQ(f.ssd.ChannelOf(f.Lba(1)), 1u);
+  ASSERT_EQ(f.ssd.ChannelOf(f.Lba(0, 1)), 0u);
+  f.Async(f.Lba(0));
+  f.Async(f.Lba(1));
+  f.Async(f.Lba(0, 1));
+  const Nanos s = f.ReadService();
+  EXPECT_EQ(f.scheduler.Drain(0), 2 * s);
+  // Channels 0 and 1 run side by side; the second channel-0 request waits
+  // out the first.
+  EXPECT_EQ(f.scheduler.channel_busy_until(0), 2 * s);
+  EXPECT_EQ(f.scheduler.channel_busy_until(1), s);
+  EXPECT_EQ(f.scheduler.channel_busy_until(2), 0);
+  EXPECT_EQ(f.scheduler.busy_until(), 2 * s);
+}
+
+TEST(MultiQueueSchedulerTest, AsyncServiceNeverStartsBeforeSubmission) {
+  // A trailing cursor (t=0) triggers the pass, but a request submitted at
+  // t=1ms on an idle channel still starts at 1ms.
+  MultiQueueFixture f;
+  const Nanos submitted = FromMillis(1.0);
+  f.Async(f.Lba(3), submitted);
+  EXPECT_EQ(f.scheduler.Drain(0), submitted + f.ReadService());
+  EXPECT_EQ(f.scheduler.channel_busy_until(3), submitted + f.ReadService());
+}
+
+TEST(MultiQueueSchedulerTest, DispatchesInSubmissionOrder) {
+  // No elevator on flash: descending and scattered LBAs dispatch exactly as
+  // submitted.
+  MultiQueueFixture f;
+  std::vector<uint64_t> log;
+  f.scheduler.set_dispatch_log(&log);
+  const std::vector<uint64_t> lbas{f.Lba(5, 900), f.Lba(0, 3), f.Lba(5, 2), f.Lba(7, 40),
+                                   f.Lba(1)};
+  for (const uint64_t lba : lbas) {
+    f.Async(lba);
+  }
+  f.scheduler.Drain(0);
+  EXPECT_EQ(log, lbas);
+}
+
+TEST(MultiQueueSchedulerTest, FullQueueThrottlesUntilEarliestIdleChannel) {
+  // One request on every channel, then the rest of the queue piled onto
+  // channel 0: when the queue fills, the producer waits for the first
+  // channel to go idle (one service time), not for channel 0's backlog.
+  MultiQueueFixture f;
+  const Nanos s = f.ReadService();
+  const size_t limit = IoScheduler::kMaxPendingAsync;
+  for (uint32_t c = 0; c < f.params.channels; ++c) {
+    EXPECT_EQ(f.Async(f.Lba(c)), 0);
+  }
+  for (size_t i = f.params.channels; i + 1 < limit; ++i) {
+    EXPECT_EQ(f.Async(f.Lba(0, i)), 0) << "request " << i << " throttled early";
+  }
+  EXPECT_EQ(f.scheduler.stats().async_throttle_stalls, 0u);
+  EXPECT_EQ(f.scheduler.pending_async(), limit - 1);
+
+  // The limit-th submission fills the queue: the backlog is admitted onto
+  // the channel timelines and the producer stalls until channel 1 frees.
+  EXPECT_EQ(f.Async(f.Lba(0, limit)), s);
+  EXPECT_EQ(f.scheduler.pending_async(), 0u);
+  EXPECT_EQ(f.scheduler.stats().async_throttle_stalls, 1u);
+  EXPECT_EQ(f.scheduler.stats().total_async_throttle_time, s);
+  const Nanos channel0_backlog = static_cast<Nanos>(limit - f.params.channels + 1) * s;
+  EXPECT_EQ(f.scheduler.channel_busy_until(0), channel0_backlog);
+  EXPECT_EQ(f.scheduler.busy_until(), channel0_backlog);
+  for (uint32_t c = 1; c < f.params.channels; ++c) {
+    EXPECT_EQ(f.scheduler.channel_busy_until(c), s) << "channel " << c;
+  }
 }
 
 }  // namespace

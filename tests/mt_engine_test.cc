@@ -28,6 +28,7 @@
 #include "src/core/workloads/compile_like.h"
 #include "src/core/workloads/postmark_like.h"
 #include "src/sim/machine.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
@@ -190,36 +191,6 @@ OldLoopResult OldSingleThreadLoop(Machine& machine, Workload& workload, uint64_t
   return result;
 }
 
-void ExpectVfsStatsEqual(const VfsStats& a, const VfsStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.creates, b.creates);
-  EXPECT_EQ(a.unlinks, b.unlinks);
-  EXPECT_EQ(a.stats_calls, b.stats_calls);
-  EXPECT_EQ(a.opens, b.opens);
-  EXPECT_EQ(a.fsyncs, b.fsyncs);
-  EXPECT_EQ(a.bytes_read, b.bytes_read);
-  EXPECT_EQ(a.bytes_written, b.bytes_written);
-  EXPECT_EQ(a.data_page_hits, b.data_page_hits);
-  EXPECT_EQ(a.data_page_misses, b.data_page_misses);
-  EXPECT_EQ(a.demand_requests, b.demand_requests);
-  EXPECT_EQ(a.readahead_pages, b.readahead_pages);
-  EXPECT_EQ(a.writeback_pages, b.writeback_pages);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-}
-
-void ExpectDiskStatsEqual(const DiskStats& a, const DiskStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.sectors_read, b.sectors_read);
-  EXPECT_EQ(a.sectors_written, b.sectors_written);
-  EXPECT_EQ(a.seeks, b.seeks);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.sequential_hits, b.sequential_hits);
-  EXPECT_EQ(a.total_service_time, b.total_service_time);
-  EXPECT_EQ(a.total_seek_time, b.total_seek_time);
-}
-
 class EngineEquivalence : public ::testing::TestWithParam<std::tuple<FsKind, uint64_t>> {};
 
 TEST_P(EngineEquivalence, SingleThreadEngineMatchesOldLoop) {
@@ -259,34 +230,21 @@ TEST_P(EngineEquivalence, SingleThreadEngineMatchesOldLoop) {
   EXPECT_EQ(new_machine->clock().now(), old_machine->clock().now());
   EXPECT_EQ(engine_result.total_ops, old_result.ops);
 
-  ExpectVfsStatsEqual(new_machine->vfs().stats(), old_machine->vfs().stats());
-  ExpectDiskStatsEqual(new_machine->disk().stats(), old_machine->disk().stats());
-
-  const IoSchedulerStats& ns = new_machine->scheduler().stats();
-  const IoSchedulerStats& os = old_machine->scheduler().stats();
-  EXPECT_EQ(ns.sync_requests, os.sync_requests);
-  EXPECT_EQ(ns.async_requests, os.async_requests);
-  EXPECT_EQ(ns.async_serviced, os.async_serviced);
-  EXPECT_EQ(ns.total_sync_wait, os.total_sync_wait);
-  EXPECT_EQ(ns.total_sync_queue_delay, os.total_sync_queue_delay);
-  EXPECT_EQ(ns.max_queue_depth, os.max_queue_depth);
+  EXPECT_EQ(new_machine->vfs().stats(), old_machine->vfs().stats());
+  EXPECT_EQ(new_machine->disk().stats(), old_machine->disk().stats());
+  EXPECT_EQ(new_machine->scheduler().stats(), old_machine->scheduler().stats());
 
   // Cache state identity.
   const PageCache& nc = new_machine->vfs().cache();
   const PageCache& oc = old_machine->vfs().cache();
   EXPECT_EQ(nc.size(), oc.size());
   EXPECT_EQ(nc.dirty_count(), oc.dirty_count());
-  EXPECT_EQ(nc.stats().hits, oc.stats().hits);
-  EXPECT_EQ(nc.stats().misses, oc.stats().misses);
-  EXPECT_EQ(nc.stats().evictions, oc.stats().evictions);
+  EXPECT_EQ(nc.stats(), oc.stats());
 
   // Metric aggregation identity (recording order is the dispatch order).
   EXPECT_EQ(new_metrics.total_ops(), old_metrics.total_ops());
-  EXPECT_EQ(new_metrics.latency().count(), old_metrics.latency().count());
-  EXPECT_EQ(new_metrics.latency().mean(), old_metrics.latency().mean());
-  EXPECT_EQ(new_metrics.latency().min(), old_metrics.latency().min());
-  EXPECT_EQ(new_metrics.latency().max(), old_metrics.latency().max());
-  EXPECT_EQ(new_metrics.latency().sum(), old_metrics.latency().sum());
+  EXPECT_EQ(DigestOf(new_metrics.latency()), DigestOf(old_metrics.latency()));
+  EXPECT_EQ(DigestOf(new_metrics.histogram()), DigestOf(old_metrics.histogram()));
 
   std::string error;
   EXPECT_TRUE(new_machine->fs().CheckConsistency(&error)) << error;
@@ -341,9 +299,9 @@ TEST(MtEngineTest, SingleThreadEngineMatchesOldLoopOnCpuBoundWorkload) {
 
   EXPECT_EQ(new_machine->clock().now(), old_machine->clock().now());
   EXPECT_EQ(engine_result.total_ops, old_result.ops);
-  EXPECT_EQ(new_metrics.latency().mean(), old_metrics.latency().mean());
-  ExpectVfsStatsEqual(new_machine->vfs().stats(), old_machine->vfs().stats());
-  ExpectDiskStatsEqual(new_machine->disk().stats(), old_machine->disk().stats());
+  EXPECT_EQ(DigestOf(new_metrics.latency()), DigestOf(old_metrics.latency()));
+  EXPECT_EQ(new_machine->vfs().stats(), old_machine->vfs().stats());
+  EXPECT_EQ(new_machine->disk().stats(), old_machine->disk().stats());
 }
 
 // --- multi-thread semantics -------------------------------------------------
@@ -378,24 +336,10 @@ TEST(MtEngineTest, FourThreadRunIsDeterministic) {
   ASSERT_TRUE(b.AllOk());
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (size_t run = 0; run < a.runs.size(); ++run) {
-    const RunResult& ra = a.runs[run];
-    const RunResult& rb = b.runs[run];
-    EXPECT_EQ(ra.ops, rb.ops);
-    EXPECT_EQ(ra.measured_duration, rb.measured_duration);
-    EXPECT_EQ(ra.ops_per_second, rb.ops_per_second);  // exact: same bits
-    EXPECT_EQ(ra.latency.count(), rb.latency.count());
-    EXPECT_EQ(ra.latency.mean(), rb.latency.mean());
-    EXPECT_EQ(ra.latency.sum(), rb.latency.sum());
-    EXPECT_EQ(ra.per_thread_ops, rb.per_thread_ops);
-    EXPECT_EQ(ra.throughput_series, rb.throughput_series);
-    EXPECT_EQ(ra.vfs_stats.data_page_hits, rb.vfs_stats.data_page_hits);
-    EXPECT_EQ(ra.vfs_stats.data_page_misses, rb.vfs_stats.data_page_misses);
-    EXPECT_EQ(ra.disk_stats.total_service_time, rb.disk_stats.total_service_time);
-    EXPECT_EQ(ra.scheduler_stats.max_queue_depth, rb.scheduler_stats.max_queue_depth);
-    EXPECT_EQ(ra.scheduler_stats.total_sync_wait, rb.scheduler_stats.total_sync_wait);
+    EXPECT_EQ(DigestOf(a.runs[run]), DigestOf(b.runs[run])) << "run " << run;
   }
-  EXPECT_EQ(a.throughput.mean, b.throughput.mean);
-  EXPECT_EQ(a.mean_latency_ns.mean, b.mean_latency_ns.mean);
+  // Every field, floats bit for bit, plus the cross-run summaries.
+  EXPECT_EQ(DigestOf(a), DigestOf(b));
 }
 
 TEST(MtEngineTest, DiskBoundThreadsContendOnTheDeviceTimeline) {

@@ -1,8 +1,9 @@
 // The host-parallelism determinism gate: RunCells (src/core/parallel_runner)
 // must be unobservable in results. The contract has three legs —
 //   1. jobs is not a parameter of the output: a randomized sweep matrix and
-//      a multi-run experiment digest bit-identically at --jobs=1 and
-//      --jobs=8 (8 on a 1-core host also proves workers > cores is safe);
+//      a multi-run experiment digest bit-identically — every field of every
+//      run (tests/run_digest.h) — at --jobs=1 and --jobs=8 (8 on a 1-core
+//      host also proves workers > cores is safe);
 //   2. the pool is reusable and stable: running the same sweep twice at
 //      jobs=8 digests identically (no cross-run pool state);
 //   3. failure is cell-local: one throwing cell reports its own error and
@@ -13,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -23,79 +23,10 @@
 #include "src/core/workloads/postmark_like.h"
 #include "src/core/workloads/random_read.h"
 #include "src/util/rng.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
-
-// FNV-1a over explicitly appended fields (same construction as the serial
-// determinism gate in determinism_gate_test.cc).
-class Digest {
- public:
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Bool(bool v) { U64(v ? 1 : 0); }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 14695981039346656037ULL;
-};
-
-void DigestSummary(Digest& d, const Summary& s) {
-  d.U64(s.count);
-  d.F64(s.mean);
-  d.F64(s.stddev);
-  d.F64(s.rel_stddev_pct);
-  d.F64(s.min);
-  d.F64(s.max);
-  d.F64(s.median);
-}
-
-uint64_t DigestSweep(const SweepMatrixResult& result) {
-  Digest d;
-  for (const SweepCell& cell : result.cells) {
-    d.F64(cell.row_param);
-    d.F64(cell.col_param);
-    d.Bool(cell.ok);
-    d.F64(cell.cache_hit_ratio);
-    DigestSummary(d, cell.throughput);
-  }
-  return d.value();
-}
-
-uint64_t DigestExperiment(const ExperimentResult& result) {
-  Digest d;
-  DigestSummary(d, result.throughput);
-  DigestSummary(d, result.mean_latency_ns);
-  d.U64(result.merged_histogram.total());
-  for (const RunResult& run : result.runs) {
-    d.Bool(run.ok);
-    d.U64(run.ops);
-    d.U64(run.failed_ops);
-    d.I64(run.measured_duration);
-    d.F64(run.ops_per_second);
-    d.F64(run.cache_hit_ratio);
-    d.U64(run.vfs_stats.reads);
-    d.U64(run.vfs_stats.writes);
-    d.U64(run.vfs_stats.data_page_hits);
-    d.U64(run.vfs_stats.data_page_misses);
-    d.U64(run.disk_stats.reads);
-    d.U64(run.disk_stats.seeks);
-    d.U64(run.scheduler_stats.sync_requests);
-    d.U64(run.scheduler_stats.max_queue_depth);
-  }
-  return d.value();
-}
 
 MachineFactory TestMachine() {
   return [](uint64_t seed) {
@@ -217,27 +148,27 @@ TEST(ResolveJobsTest, PositivePassesThroughNonPositiveMeansHostCores) {
 // --- The determinism contract -------------------------------------------
 
 TEST(ParallelDeterminismTest, SweepDigestIdenticalAcrossJobs) {
-  const uint64_t serial = DigestSweep(RandomizedSweep(/*jobs=*/1, /*seed=*/42));
-  const uint64_t parallel = DigestSweep(RandomizedSweep(/*jobs=*/8, /*seed=*/42));
+  const uint64_t serial = DigestOf(RandomizedSweep(/*jobs=*/1, /*seed=*/42));
+  const uint64_t parallel = DigestOf(RandomizedSweep(/*jobs=*/8, /*seed=*/42));
   EXPECT_EQ(serial, parallel);
 }
 
 TEST(ParallelDeterminismTest, SweepDigestStableAcrossRepeatedParallelRuns) {
-  const uint64_t first = DigestSweep(RandomizedSweep(/*jobs=*/8, /*seed=*/99));
-  const uint64_t second = DigestSweep(RandomizedSweep(/*jobs=*/8, /*seed=*/99));
+  const uint64_t first = DigestOf(RandomizedSweep(/*jobs=*/8, /*seed=*/99));
+  const uint64_t second = DigestOf(RandomizedSweep(/*jobs=*/8, /*seed=*/99));
   EXPECT_EQ(first, second);
 }
 
 TEST(ParallelDeterminismTest, DifferentSeedsActuallyDiffer) {
-  // Guards the digest itself: if DigestSweep collapsed to a constant, the
+  // Guards the digest itself: if the digest collapsed to a constant, the
   // equality tests above would pass vacuously.
-  EXPECT_NE(DigestSweep(RandomizedSweep(/*jobs=*/8, /*seed=*/42)),
-            DigestSweep(RandomizedSweep(/*jobs=*/8, /*seed=*/43)));
+  EXPECT_NE(DigestOf(RandomizedSweep(/*jobs=*/8, /*seed=*/42)),
+            DigestOf(RandomizedSweep(/*jobs=*/8, /*seed=*/43)));
 }
 
 TEST(ParallelDeterminismTest, ExperimentRepetitionsDigestIdenticalAcrossJobs) {
-  const uint64_t serial = DigestExperiment(MultiRunExperiment(/*jobs=*/1));
-  const uint64_t parallel = DigestExperiment(MultiRunExperiment(/*jobs=*/8));
+  const uint64_t serial = DigestOf(MultiRunExperiment(/*jobs=*/1));
+  const uint64_t parallel = DigestOf(MultiRunExperiment(/*jobs=*/8));
   EXPECT_EQ(serial, parallel);
 }
 

@@ -100,14 +100,8 @@ TEST(ReportTest, TransitionRendering) {
 }
 
 TEST(ReportTest, NanoSuiteGroupsByDimension) {
-  NanoResult io;
-  io.name = "io.test";
-  io.dimension = Dimension::kIo;
-  io.value = 1.0;
-  io.unit = "x";
-  NanoResult cache = io;
-  cache.name = "cache.test";
-  cache.dimension = Dimension::kCaching;
+  const NanoResult io{"io.test", Dimension::kIo, 1.0, "x", Summary{}, ""};
+  const NanoResult cache{"cache.test", Dimension::kCaching, 1.0, "x", Summary{}, ""};
   const std::string out = RenderNanoSuite({io, cache});
   EXPECT_NE(out.find("I/O"), std::string::npos);
   EXPECT_NE(out.find("Caching"), std::string::npos);

@@ -36,6 +36,7 @@
 #include "src/sim/vfs.h"
 #include "src/sim/xfsfs.h"
 #include "src/util/rng.h"
+#include "tests/run_digest.h"
 
 namespace fsbench {
 namespace {
@@ -746,35 +747,6 @@ struct Stack {
   }
 };
 
-void ExpectStatsEqual(const VfsStats& a, const VfsStats& b, uint64_t step) {
-  EXPECT_EQ(a.reads, b.reads) << "step " << step;
-  EXPECT_EQ(a.writes, b.writes) << "step " << step;
-  EXPECT_EQ(a.creates, b.creates) << "step " << step;
-  EXPECT_EQ(a.unlinks, b.unlinks) << "step " << step;
-  EXPECT_EQ(a.stats_calls, b.stats_calls) << "step " << step;
-  EXPECT_EQ(a.opens, b.opens) << "step " << step;
-  EXPECT_EQ(a.fsyncs, b.fsyncs) << "step " << step;
-  EXPECT_EQ(a.bytes_read, b.bytes_read) << "step " << step;
-  EXPECT_EQ(a.bytes_written, b.bytes_written) << "step " << step;
-  EXPECT_EQ(a.data_page_hits, b.data_page_hits) << "step " << step;
-  EXPECT_EQ(a.data_page_misses, b.data_page_misses) << "step " << step;
-  EXPECT_EQ(a.demand_requests, b.demand_requests) << "step " << step;
-  EXPECT_EQ(a.readahead_pages, b.readahead_pages) << "step " << step;
-  EXPECT_EQ(a.writeback_pages, b.writeback_pages) << "step " << step;
-  EXPECT_EQ(a.io_errors, b.io_errors) << "step " << step;
-}
-
-void ExpectDiskStatsEqual(const DiskStats& a, const DiskStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.sectors_read, b.sectors_read);
-  EXPECT_EQ(a.sectors_written, b.sectors_written);
-  EXPECT_EQ(a.seeks, b.seeks);
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
-  EXPECT_EQ(a.sequential_hits, b.sequential_hits);
-  EXPECT_EQ(a.total_service_time, b.total_service_time);
-}
-
 class PipelineDifferential
     : public ::testing::TestWithParam<std::tuple<FsKind, EvictionPolicyKind, uint64_t>> {};
 
@@ -884,11 +856,9 @@ TEST_P(PipelineDifferential, RandomTraceMatchesReferencePipeline) {
     ASSERT_EQ(prod.cache().dirty_count(), ref.cache().dirty_count()) << "step " << step;
   }
 
-  ExpectStatsEqual(prod.stats(), ref.stats(), /*step=*/~0ULL);
-  ExpectDiskStatsEqual(prod_stack.disk.stats(), ref_stack.disk.stats());
-  EXPECT_EQ(prod.cache().stats().hits, ref.cache().stats().hits);
-  EXPECT_EQ(prod.cache().stats().misses, ref.cache().stats().misses);
-  EXPECT_EQ(prod.cache().stats().evictions, ref.cache().stats().evictions);
+  EXPECT_EQ(prod.stats(), ref.stats());
+  EXPECT_EQ(prod_stack.disk.stats(), ref_stack.disk.stats());
+  EXPECT_EQ(prod.cache().stats(), ref.cache().stats());
 
   std::string error;
   EXPECT_TRUE(prod_stack.fs->CheckConsistency(&error)) << error;
