@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/page_cache.h"
@@ -20,11 +21,18 @@
 namespace fsbench {
 namespace {
 
+// gtest prints a parameter that has no operator<< as its raw bytes, and the
+// print is part of each test's ctest name. Implicit padding after `kind` would
+// print whatever the stack held, renaming the tests on every run; the explicit,
+// zeroed padding member keeps the names stable.
 struct TraceParam {
   EvictionPolicyKind kind;
+  uint8_t padding[7] = {};
   size_t capacity;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TraceParam>,
+              "TraceParam must have no implicit padding");
 
 std::string ParamName(const ::testing::TestParamInfo<TraceParam>& info) {
   return std::string(EvictionPolicyKindName(info.param.kind)) + "_cap" +
@@ -163,15 +171,15 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
 
 INSTANTIATE_TEST_SUITE_P(
     Traces, CacheDifferential,
-    ::testing::Values(TraceParam{EvictionPolicyKind::kLru, 64, 1},
-                      TraceParam{EvictionPolicyKind::kLru, 4, 2},
-                      TraceParam{EvictionPolicyKind::kClock, 64, 1},
-                      TraceParam{EvictionPolicyKind::kClock, 4, 2},
-                      TraceParam{EvictionPolicyKind::kTwoQueue, 64, 1},
-                      TraceParam{EvictionPolicyKind::kTwoQueue, 4, 2},
-                      TraceParam{EvictionPolicyKind::kArc, 64, 1},
-                      TraceParam{EvictionPolicyKind::kArc, 4, 2},
-                      TraceParam{EvictionPolicyKind::kArc, 48, 3}),
+    ::testing::Values(TraceParam{.kind = EvictionPolicyKind::kLru, .capacity = 64, .seed = 1},
+                      TraceParam{.kind = EvictionPolicyKind::kLru, .capacity = 4, .seed = 2},
+                      TraceParam{.kind = EvictionPolicyKind::kClock, .capacity = 64, .seed = 1},
+                      TraceParam{.kind = EvictionPolicyKind::kClock, .capacity = 4, .seed = 2},
+                      TraceParam{.kind = EvictionPolicyKind::kTwoQueue, .capacity = 64, .seed = 1},
+                      TraceParam{.kind = EvictionPolicyKind::kTwoQueue, .capacity = 4, .seed = 2},
+                      TraceParam{.kind = EvictionPolicyKind::kArc, .capacity = 64, .seed = 1},
+                      TraceParam{.kind = EvictionPolicyKind::kArc, .capacity = 4, .seed = 2},
+                      TraceParam{.kind = EvictionPolicyKind::kArc, .capacity = 48, .seed = 3}),
     ParamName);
 
 }  // namespace
