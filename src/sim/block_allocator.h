@@ -4,6 +4,14 @@
 // goal-directed first-fit inside a block group (ext2-style locality), with
 // spill-over to other groups when the goal group is full. Contiguous extent
 // allocation serves the extent-based file system.
+//
+// Bitmaps are built on first use, like ext4's BLOCK_UNINIT groups. Until
+// then a group is fully described by an allocated prefix: blocks
+// [start, start + prefix) are in use and the rest are free, so the prefix
+// is the group's size minus its free count. Appending at the prefix only
+// extends it; any other change first builds the group's bitmap from it.
+// Mkfs headers and a file written front to back on a fresh device therefore
+// cost O(1) per group, and fsck costs O(groups whose bitmap exists).
 #ifndef SRC_SIM_BLOCK_ALLOCATOR_H_
 #define SRC_SIM_BLOCK_ALLOCATOR_H_
 
@@ -20,6 +28,8 @@ struct BlockAllocatorStats {
   uint64_t frees = 0;
   uint64_t goal_hits = 0;   // allocated exactly at the requested goal
   uint64_t group_spills = 0;  // had to leave the goal's group
+
+  bool operator==(const BlockAllocatorStats&) const = default;
 };
 
 class BlockAllocator {
@@ -42,6 +52,13 @@ class BlockAllocator {
   // (in which case nothing is allocated).
   std::vector<Extent> AllocateBlocks(BlockId goal, uint64_t count);
 
+  // Claims up to `max_count` consecutive free blocks starting exactly at
+  // `goal`, stopping at the first allocated block or the device end. Each
+  // counts as an allocation and a goal hit: the same blocks and stats as
+  // repeated AllocateBlock(previous + 1) while the goal stays free. Returns
+  // count 0 when `goal` itself is allocated or past the device.
+  Extent AllocateRunAt(BlockId goal, uint64_t max_count);
+
   // Marks a range allocated at mkfs time (superblock, inode tables, journal).
   // Requires the range to be entirely free.
   void ReserveRange(const Extent& extent);
@@ -56,13 +73,25 @@ class BlockAllocator {
   uint64_t GroupOf(BlockId block) const { return block / group_blocks_; }
   const BlockAllocatorStats& stats() const { return stats_; }
 
-  // Verifies the per-group free counters against the bitmap (fsck helper).
+  // Verifies the per-group free counters against the bitmaps (fsck helper).
   bool CheckInvariants() const;
 
  private:
+  uint64_t GroupSize(uint64_t group) const;
+  bool HasBitmap(uint64_t group) const { return !bitmaps_[group].empty(); }
+  // Allocated prefix of a group without a bitmap.
+  uint64_t Prefix(uint64_t group) const { return GroupSize(group) - group_free_[group]; }
+  // Builds `group`'s bitmap from its prefix.
+  void BuildBitmap(uint64_t group);
+
   bool TestBit(BlockId block) const;
-  void SetBit(BlockId block);
-  void ClearBit(BlockId block);
+  // Marks [start, start + count) allocated (`used`) or free; the range may
+  // span groups and must be wholly in the other state.
+  void MarkRange(BlockId start, uint64_t count, bool used);
+  // First block in [from, to) that is allocated (`used`) or free (!`used`),
+  // or `to` when there is none. [from, to) must lie within one group, as
+  // must FindFree's and FindRun's.
+  BlockId Find(BlockId from, BlockId to, bool used) const;
   // First free block in [from, to), or kInvalidBlock.
   BlockId FindFree(BlockId from, BlockId to) const;
   // Longest free run starting at or after `from` within [from, to), capped
@@ -71,7 +100,8 @@ class BlockAllocator {
 
   uint64_t total_blocks_;
   uint64_t group_blocks_;
-  std::vector<uint64_t> bitmap_;
+  // Per group, bit i is block group_start + i; empty until first needed.
+  std::vector<std::vector<uint64_t>> bitmaps_;
   std::vector<uint64_t> group_free_;
   uint64_t used_ = 0;
   BlockAllocatorStats stats_;

@@ -132,6 +132,46 @@ FsResult<BlockId> Ext2Fs::AllocatePageFor(Inode& inode, uint64_t page_index, Met
   return FsResult<BlockId>::Ok(*block);
 }
 
+FsStatus Ext2Fs::AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) {
+  Inode* inode = MutableInode(ino);
+  if (inode == nullptr) {
+    return FsStatus::kNotFound;
+  }
+  std::vector<BlockId>& map = inode->block_map;
+  assert(map.empty());
+  map.reserve(pages);
+  const uint64_t direct = direct_pages();
+  const uint64_t ptrs = pointers_per_block();
+  FsStatus status = FsStatus::kOk;
+  uint64_t page = 0;
+  while (page < pages && status == FsStatus::kOk) {
+    const uint64_t run_end =
+        std::min(pages, page < direct ? direct : direct + ((page - direct) / ptrs + 1) * ptrs);
+    io->Reset();
+    status = EnsureIndirectChain(*inode, page, io);
+    if (status != FsStatus::kOk) {
+      break;
+    }
+    map.resize(run_end, kInvalidBlock);
+    while (page < run_end) {
+      const std::optional<BlockId> block = alloc_.AllocateBlock(DataGoal(*inode, page));
+      if (!block.has_value()) {
+        status = FsStatus::kNoSpace;
+        break;
+      }
+      map[page++] = *block;
+      const Extent run = alloc_.AllocateRunAt(*block + 1, run_end - page);
+      for (uint64_t i = 0; i < run.count; ++i) {
+        map[page++] = run.start + i;
+      }
+    }
+  }
+  // A failed page leaves the map ending at the last page allocated.
+  map.resize(page);
+  inode->allocated_blocks += page;
+  return status;
+}
+
 void Ext2Fs::FreeAllBlocks(Inode& inode, MetaIo* io) {
   for (BlockId block : inode.block_map) {
     if (block != kInvalidBlock) {

@@ -33,6 +33,12 @@ class Ext2Fs : public FileSystem {
   // indices address Inode::indirect_blocks; exposed for tests.
   void IndirectSlotsFor(uint64_t page, std::vector<uint64_t>* slots) const;
 
+  // One indirect-chain run at a time: the 12 direct pages, then the pages
+  // under each indirect leaf. Each run ensures its chain once; its data
+  // blocks come from AllocateBlock for the first page and after a goal
+  // miss, and from BlockAllocator::AllocateRunAt in between.
+  FsStatus AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) override;
+
   // Deepest possible indirect chain: single, double root+leaf, triple
   // root+mid+leaf.
   static constexpr uint32_t kMaxIndirectDepth = 3;
@@ -45,7 +51,8 @@ class Ext2Fs : public FileSystem {
   // `final` so the directory-scan override below (and anything else in this
   // translation-unit family) can call it without virtual dispatch.
   FsResult<BlockId> MapPageFor(const Inode& inode, uint64_t page_index, MetaIo* io) final;
-  FsResult<BlockId> AllocatePageFor(Inode& inode, uint64_t page_index, MetaIo* io) override;
+  // `final`: AllocateFilePages replays this policy a run at a time.
+  FsResult<BlockId> AllocatePageFor(Inode& inode, uint64_t page_index, MetaIo* io) final;
   // Same linear-scan cost model as the base implementation, but with the
   // per-block MapPageFor call devirtualized — this runs once per path
   // component, the hottest loop in the simulator.

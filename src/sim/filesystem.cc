@@ -127,6 +127,17 @@ FsResult<BlockId> FileSystem::AllocatePage(InodeId ino, uint64_t page_index, Met
   return AllocatePageFor(*inode, page_index, io);
 }
 
+FsStatus FileSystem::AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) {
+  for (uint64_t page = 0; page < pages; ++page) {
+    io->Reset();
+    const FsResult<BlockId> block = AllocatePage(ino, page, io);
+    if (!block.ok()) {
+      return block.status;
+    }
+  }
+  return FsStatus::kOk;
+}
+
 BlockId FileSystem::InodeTableBlock(const Inode& inode) const { return inode.itable_block; }
 
 uint64_t FileSystem::PickGroup(const Inode& parent, FileType type) {

@@ -123,6 +123,13 @@ class FileSystem {
   // to the FS's layout policy) and returns it.
   FsResult<BlockId> AllocatePage(InodeId ino, uint64_t page_index, MetaIo* io);
 
+  // Set-up only: allocates pages [0, pages) of a file that has none yet,
+  // with the same blocks, allocator stats and status as calling AllocatePage
+  // for each page in order. `io` is scratch: its meta I/O is never charged
+  // and its contents on return are unspecified. The default does exactly
+  // that loop; file systems override it to allocate a run at a time.
+  virtual FsStatus AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io);
+
   // --- Per-FS behaviour knobs ---
 
   // The journal needs the I/O scheduler, which exists only after the machine

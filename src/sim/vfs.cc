@@ -775,13 +775,10 @@ FsStatus Vfs::MakeFile(std::string_view path, Bytes size) {
   if (!created.ok()) {
     return created.status;
   }
-  const uint64_t pages = CeilDiv(size, config_.page_size);
-  for (uint64_t page = 0; page < pages; ++page) {
-    meta_scratch_.Reset();
-    const FsResult<BlockId> block = fs_->AllocatePage(created.value, page, &meta_scratch_);
-    if (!block.ok()) {
-      return block.status;
-    }
+  const FsStatus allocated =
+      fs_->AllocateFilePages(created.value, CeilDiv(size, config_.page_size), &meta_scratch_);
+  if (allocated != FsStatus::kOk) {
+    return allocated;
   }
   meta_scratch_.Reset();
   return fs_->SetSize(created.value, size, &meta_scratch_);
