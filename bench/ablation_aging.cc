@@ -9,6 +9,8 @@
 // its physical fragmentation and (b) cold sequential read bandwidth,
 // against the same file on a fresh image.
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -121,13 +123,11 @@ int Run(const BenchArgs& args) {
   // --jobs value.
   const FsKind fs_kinds[] = {FsKind::kExt2, FsKind::kXfs};
   struct AgingRow {
-    bool ok = false;
-    const char* error = "";
     LayoutQuality quality;
     double cold_mib_per_sec = 0.0;
   };
   std::vector<AgingRow> rows(4);
-  RunCells(rows.size(), args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(rows.size(), args.jobs, [&](size_t index) {
     const FsKind kind = fs_kinds[index / 2];
     const bool aged = (index % 2) == 1;
     AgingRow& row = rows[index];
@@ -137,26 +137,25 @@ int Run(const BenchArgs& args) {
     Machine machine(kind, config);
     Rng rng(args.seed);
     if (aged && !AgePartition(machine, rng)) {
-      row.error = "aging failed";
-      return;
+      throw std::runtime_error("aging failed");
     }
     if (machine.vfs().MakeFile("/probe", probe_size) != FsStatus::kOk) {
-      row.error = "probe allocation failed";
-      return;
+      throw std::runtime_error("probe allocation failed");
     }
     row.quality = ProbeLayout(machine, "/probe", probe_size);
     row.cold_mib_per_sec = ColdSequentialBandwidth(machine, "/probe", probe_size);
-    row.ok = true;
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        return std::string(FsKindName(fs_kinds[index / 2])) +
+               ((index % 2) == 1 ? " aged" : " fresh");
+      })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"fs", "image", "contiguity", "fragments", "cold seq read MiB/s"});
   for (size_t index = 0; index < rows.size(); ++index) {
     const AgingRow& row = rows[index];
-    if (!row.ok) {
-      std::printf("%s\n", row.error);
-      return 1;
-    }
     table.AddRow({FsKindName(fs_kinds[index / 2]), (index % 2) == 1 ? "aged" : "fresh",
                   FormatDouble(row.quality.contiguity, 3), std::to_string(row.quality.fragments),
                   FormatDouble(row.cold_mib_per_sec, 1)});

@@ -6,6 +6,7 @@
 // working set 1.5x the cache, across LRU / CLOCK / 2Q / ARC, plus the
 // uniform case where policies cannot differ much (a negative control).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -35,7 +36,7 @@ int Run(const BenchArgs& args) {
   constexpr size_t kPolicies = 4;
   std::vector<NanoResult> quality(kPolicies);
   std::vector<ExperimentResult> uniform(kPolicies);
-  RunCells(2 * kPolicies, args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(2 * kPolicies, args.jobs, [&](size_t index) {
     const EvictionPolicyKind kind = kinds[index % kPolicies];
     if (index < kPolicies) {
       quality[index] = suite.CacheEvictionQuality(PaperMachine(FsKind::kExt2, kind));
@@ -51,6 +52,12 @@ int Run(const BenchArgs& args) {
                                      .Run(PaperMachine(FsKind::kExt2, kind),
                                           RandomReadOf(615 * kMiB));  // ~1.5x cache
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        return std::string(index < kPolicies ? "scan-resistance " : "uniform ") +
+               EvictionPolicyKindName(kinds[index % kPolicies]);
+      })) {
+    return 1;
+  }
 
   std::printf("scan-resistance: zipf(0.9) hot set (0.5x cache) + concurrent sequential scan\n"
               "over a 3x-cache file; hot-set hit ratio after eviction pressure builds:\n");

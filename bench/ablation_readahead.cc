@@ -7,6 +7,7 @@
 // sequential-read bandwidth respond, which is precisely the mechanism
 // behind the between-FS divergence in Figure 2.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -47,7 +48,7 @@ int Run(const BenchArgs& args) {
   // the barrier so output is byte-identical for every --jobs value.
   constexpr size_t kCases = sizeof(cases) / sizeof(cases[0]);
   std::vector<ExperimentResult> cells(kCases);
-  RunCells(kCases, args.jobs, [&](size_t i) {
+  const std::vector<std::string> errors = RunCells(kCases, args.jobs, [&](size_t i) {
     ExperimentConfig config;
     config.runs = 2;
     config.duration = duration;
@@ -56,6 +57,9 @@ int Run(const BenchArgs& args) {
     cells[i] = Experiment(config).Run(MachineWithReadahead(cases[i].config),
                                       RandomReadOf(410 * kMiB));
   });
+  if (ReportFailedCells(errors, [&](size_t i) { return std::string(cases[i].label); })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"readahead", "warm-up fill MiB/s", "random ops/s (cold)",

@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/parallel_runner.h"
@@ -83,6 +85,24 @@ inline WorkloadFactory RandomReadOf(Bytes file_size) {
     config.file_size = file_size;
     return std::make_unique<RandomReadWorkload>(config);
   };
+}
+
+// Call after a RunCells barrier, before anything is rendered. Prints one
+// "FAILED: <label(i)>: <error>" line on stderr for every cell that threw
+// (`errors` is RunCells' per-cell result) and returns whether any did; the
+// bench must then exit nonzero instead of writing rows from the failed
+// cells' zero-filled slots. A cell body reports a run that came back not ok
+// by throwing, so it is caught here too.
+[[nodiscard]] inline bool ReportFailedCells(const std::vector<std::string>& errors,
+                                            const std::function<std::string(size_t)>& label) {
+  bool failed = false;
+  for (size_t i = 0; i < errors.size(); ++i) {
+    if (!errors[i].empty()) {
+      std::fprintf(stderr, "FAILED: %s: %s\n", label(i).c_str(), errors[i].c_str());
+      failed = true;
+    }
+  }
+  return failed;
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {

@@ -16,6 +16,7 @@
 // Everything is virtual-time deterministic per seed; results go to
 // BENCH_recovery.json for PR-over-PR tracking.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,7 @@ int Run(const BenchArgs& args) {
   // The 4x3 (fs, crash point) grid runs host-parallel, row-major slots; the
   // table and JSON render after the barrier, identical for every --jobs.
   std::vector<CellResult> results(4 * crash_points.size());
-  std::vector<bool> cell_ok(results.size(), false);
-  RunCells(results.size(), args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(results.size(), args.jobs, [&](size_t index) {
     const FsCell& cell = cells[index / crash_points.size()];
     const uint64_t crash_op = crash_points[index % crash_points.size()];
     ExperimentConfig config;
@@ -84,26 +84,23 @@ int Run(const BenchArgs& args) {
     const ExperimentResult result =
         Experiment(config).Run(CrashMachine(cell.kind, cell.mode), MtPostmarkFactory(pm));
     if (!result.AllOk() || !result.runs[0].crash_report.has_value()) {
-      return;  // cell_ok stays false; reported after the barrier
+      throw std::runtime_error("run failed or left no crash report");
     }
     results[index].fs = cell.name;
     results[index].crash_op = crash_op;
     results[index].report = *result.runs[0].crash_report;
-    cell_ok[index] = true;
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        return std::string(cells[index / crash_points.size()].name) +
+               " crash_op=" + std::to_string(crash_points[index % crash_points.size()]);
+      })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"fs", "crash op", "survived", "lost ops", "recovery ms", "replay blks",
                    "fsck blks", "torn tx", "dirty lost", "consistent"});
-  for (size_t index = 0; index < results.size(); ++index) {
-    if (!cell_ok[index]) {
-      std::fprintf(stderr, "FAILED: %s crash_op=%llu\n",
-                   cells[index / crash_points.size()].name,
-                   static_cast<unsigned long long>(
-                       crash_points[index % crash_points.size()]));
-      return 1;
-    }
-    const CellResult& cell_result = results[index];
+  for (const CellResult& cell_result : results) {
     const CrashReport& report = cell_result.report;
     table.AddRow({cell_result.fs, std::to_string(cell_result.crash_op),
                   std::to_string(report.recovery_watermark),

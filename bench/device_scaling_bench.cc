@@ -24,6 +24,7 @@
 // --jobs value.
 #include <cstdio>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,7 @@ FsPoint RunFsPoint(const char* device, DeviceKind kind, int threads, int runs,
   const ExperimentResult result =
       Experiment(config).Run(SmallCacheMachine(kind), MtPostmarkFactory(pm));
   if (!result.AllOk()) {
-    std::fprintf(stderr, "WARNING: %s threads=%d had failing runs\n", device, threads);
+    throw std::runtime_error("failing runs");
   }
 
   FsPoint point;
@@ -170,7 +171,8 @@ int Run(const BenchArgs& args) {
   const size_t fs_cells = 2 * thread_counts.size();
   std::vector<BlockPoint> block_points(block_cells);
   std::vector<FsPoint> fs_points(fs_cells);
-  RunCells(block_cells + fs_cells, args.jobs, [&](size_t index) {
+  const size_t num_cells = block_cells + fs_cells;
+  const std::vector<std::string> errors = RunCells(num_cells, args.jobs, [&](size_t index) {
     if (index < block_cells) {
       const uint32_t channels = channel_counts[index / queue_depths.size()];
       const uint32_t qd = queue_depths[index % queue_depths.size()];
@@ -185,6 +187,17 @@ int Run(const BenchArgs& args) {
                      DeriveCellSeed(args.seed, 100 + d, t, 0), args.jobs);
     }
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        if (index < block_cells) {
+          return "ch" + std::to_string(channel_counts[index / queue_depths.size()]) + "_qd" +
+                 std::to_string(queue_depths[index % queue_depths.size()]);
+        }
+        const size_t fs_index = index - block_cells;
+        return std::string(device_names[fs_index / thread_counts.size()]) +
+               " threads=" + std::to_string(thread_counts[fs_index % thread_counts.size()]);
+      })) {
+    return 1;
+  }
 
   AsciiTable block_table;
   block_table.SetHeader({"config", "channels", "queue depth", "kIOPS", "latency us"});

@@ -8,6 +8,7 @@
 // cliffs (RAM ~410 MiB, RAM+flash ~1.4 GiB) with a flat flash-speed step
 // between them.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -43,12 +44,15 @@ int Run(const BenchArgs& args) {
   // by the size parameter (replacing the old `seed + mib` arithmetic), and
   // the table renders after the barrier.
   std::vector<ExperimentResult> cells(sizes_mib.size());
-  RunCells(sizes_mib.size(), args.jobs, [&](size_t i) {
+  const std::vector<std::string> errors = RunCells(sizes_mib.size(), args.jobs, [&](size_t i) {
     const Bytes mib = sizes_mib[i];
     ExperimentConfig cell_config = config;
     cell_config.base_seed = DeriveCellSeed(args.seed, mib, 0, 0);
     cells[i] = Experiment(cell_config).Run(flash_machine, RandomReadOf(mib * kMiB));
   });
+  if (ReportFailedCells(errors, [&](size_t i) { return std::to_string(sizes_mib[i]) + " MiB"; })) {
+    return 1;
+  }
 
   std::vector<SweepRow> rows;
   std::printf("file size   ops/s      rel-std%%  RAM-hit  flash-hit  regime\n");

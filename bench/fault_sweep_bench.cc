@@ -17,6 +17,7 @@
 // BENCH_faults.json for PR-over-PR tracking.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -125,8 +126,7 @@ int Run(const BenchArgs& args) {
   const size_t num_rates = rates.size();
   const size_t num_policies = 3;
   std::vector<CellResult> results(3 * num_policies * num_rates);
-  std::vector<std::string> failures(results.size());
-  RunCells(results.size(), args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(results.size(), args.jobs, [&](size_t index) {
     const size_t f = index / (num_policies * num_rates);
     const PolicyCell& pol = policies[(index / num_rates) % num_policies];
     const double rate = rates[index % num_rates];
@@ -140,9 +140,7 @@ int Run(const BenchArgs& args) {
     const ExperimentResult result =
         Experiment(config).Run(FaultyMachine(fs_kinds[f], rate, pol), MtPostmarkFactory(pm));
     if (!result.AllOk()) {
-      failures[index] = std::string(fs_names[f]) + " " + pol.name + " rate=" +
-                        std::to_string(rate) + " error=" + FsStatusName(result.runs[0].error);
-      return;
+      throw std::runtime_error(std::string("error=") + FsStatusName(result.runs[0].error));
     }
     CellResult& cell = results[index];
     cell.fs = fs_names[f];
@@ -155,16 +153,18 @@ int Run(const BenchArgs& args) {
     cell.ops_per_second = result.throughput.mean;
     cell.p99 = result.merged_histogram.ApproxPercentile(0.99);
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        return std::string(fs_names[index / (num_policies * num_rates)]) + " " +
+               policies[(index / num_rates) % num_policies].name +
+               " rate=" + std::to_string(rates[index % num_rates]);
+      })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"fs", "policy", "rate", "ops/s", "p99 ms", "failed", "retries", "remaps",
                    "ro", "jrnl abort"});
-  for (size_t index = 0; index < results.size(); ++index) {
-    if (!failures[index].empty()) {
-      std::fprintf(stderr, "FAILED: %s\n", failures[index].c_str());
-      return 1;
-    }
-    const CellResult& cell = results[index];
+  for (const CellResult& cell : results) {
     const FaultSummary& fault = cell.run.fault;
     table.AddRow({cell.fs, cell.policy, FormatDouble(cell.rate, 3),
                   FormatDouble(cell.ops_per_second, 1),

@@ -4,6 +4,7 @@
 // last minute of a 20-minute run; we prewarm to the steady cache state and
 // measure directly, which is equivalent and documented in EXPERIMENTS.md).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -35,7 +36,7 @@ int Run(const BenchArgs& args) {
   // Points run host-parallel; each writes its own slot, so the table is
   // identical for every --jobs value (printing happens after the barrier).
   std::vector<ExperimentResult> cells(sizes_mib.size());
-  RunCells(sizes_mib.size(), args.jobs, [&](size_t i) {
+  const std::vector<std::string> errors = RunCells(sizes_mib.size(), args.jobs, [&](size_t i) {
     const Bytes mib = sizes_mib[i];
     ExperimentConfig cell_config = config;
     // Fresh jitter draws per point, keyed by the (stable) size parameter so
@@ -43,6 +44,9 @@ int Run(const BenchArgs& args) {
     cell_config.base_seed = DeriveCellSeed(args.seed, mib, 0, 0);
     cells[i] = Experiment(cell_config).Run(PaperMachine(), RandomReadOf(mib * kMiB));
   });
+  if (ReportFailedCells(errors, [&](size_t i) { return std::to_string(sizes_mib[i]) + " MiB"; })) {
+    return 1;
+  }
 
   std::vector<SweepRow> rows;
   for (size_t i = 0; i < sizes_mib.size(); ++i) {

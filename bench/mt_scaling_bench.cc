@@ -18,6 +18,7 @@
 // BENCH_mt.json so the contention model's trajectory is tracked PR-over-PR.
 #include <cstdio>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,9 @@ ScalePoint RunPoint(const char* name, const MachineFactory& machine,
   config.jobs = jobs;
   Experiment experiment(config);
   const ExperimentResult result = experiment.Run(machine, workload);
+  if (!result.AllOk()) {
+    throw std::runtime_error("failing runs");
+  }
 
   ScalePoint point;
   point.workload = name;
@@ -85,9 +89,6 @@ ScalePoint RunPoint(const char* name, const MachineFactory& machine,
   point.sync_queue_delay_ms =
       static_cast<double>(rep.scheduler_stats.total_sync_queue_delay) / kMillisecond;
   point.max_queue_depth = rep.scheduler_stats.max_queue_depth;
-  if (!result.AllOk()) {
-    std::fprintf(stderr, "WARNING: %s threads=%d had failing runs\n", name, threads);
-  }
   return point;
 }
 
@@ -140,12 +141,18 @@ int Run(const BenchArgs& args) {
   // it is derived after the barrier rather than as cells complete.
   const size_t cells_per_sweep = thread_counts.size();
   std::vector<ScalePoint> points(kSweeps * cells_per_sweep);
-  RunCells(points.size(), args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(points.size(), args.jobs, [&](size_t index) {
     const Sweep& sweep = sweeps[index / cells_per_sweep];
     const int threads = thread_counts[index % cells_per_sweep];
     points[index] = RunPoint(sweep.name, sweep.machine, sweep.workload(threads), threads,
                              runs, duration, args.seed, args.jobs);
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        return std::string(sweeps[index / cells_per_sweep].name) +
+               " threads=" + std::to_string(thread_counts[index % cells_per_sweep]);
+      })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"workload", "threads", "agg ops/s", "speedup", "latency us", "queue depth",

@@ -15,6 +15,7 @@
 // deterministic per seed; results go to BENCH_redundancy.json.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -147,8 +148,7 @@ int Run(const BenchArgs& args) {
   const size_t num_cells = sizeof(cells) / sizeof(cells[0]);
   const size_t num_rates = rates.size();
   std::vector<CellResult> results(num_cells * num_rates);
-  std::vector<std::string> failures(results.size());
-  RunCells(results.size(), args.jobs, [&](size_t index) {
+  const std::vector<std::string> errors = RunCells(results.size(), args.jobs, [&](size_t index) {
     const GeometryCell& cell = cells[index / num_rates];
     const double rate = rates[index % num_rates];
     ExperimentConfig config;
@@ -162,9 +162,7 @@ int Run(const BenchArgs& args) {
         Experiment(config).Run(ArrayMachine(cell, rate, kill_time, duration),
                                MtPostmarkFactory(pm));
     if (!result.AllOk()) {
-      failures[index] = std::string(cell.name) + "/" + cell.mode + " rate=" +
-                        std::to_string(rate) + " error=" + FsStatusName(result.runs[0].error);
-      return;
+      throw std::runtime_error(std::string("error=") + FsStatusName(result.runs[0].error));
     }
     CellResult& r = results[index];
     r.cell = &cell;
@@ -173,16 +171,18 @@ int Run(const BenchArgs& args) {
     r.ops_per_second = result.throughput.mean;
     r.p99 = result.merged_histogram.ApproxPercentile(0.99);
   });
+  if (ReportFailedCells(errors, [&](size_t index) {
+        const GeometryCell& cell = cells[index / num_rates];
+        return std::string(cell.name) + "/" + cell.mode +
+               " rate=" + std::to_string(rates[index % num_rates]);
+      })) {
+    return 1;
+  }
 
   AsciiTable table;
   table.SetHeader({"geometry", "mode", "rate", "ops/s", "p99 ms", "failed", "deg reads",
                    "rescues", "scrub pre", "rebuilt", "loss"});
-  for (size_t index = 0; index < results.size(); ++index) {
-    if (!failures[index].empty()) {
-      std::fprintf(stderr, "FAILED: %s\n", failures[index].c_str());
-      return 1;
-    }
-    const CellResult& r = results[index];
+  for (const CellResult& r : results) {
     const ArraySummary& a = r.run.array;
     table.AddRow({r.cell->name, r.cell->mode, FormatDouble(r.rate, 3),
                   FormatDouble(r.ops_per_second, 1),

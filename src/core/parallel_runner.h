@@ -41,8 +41,11 @@ int ResolveJobs(int jobs);
 //
 // With jobs == 1, count <= 1, or when already inside a RunCells worker,
 // the tasks execute inline in index order on the calling thread.
-std::vector<std::string> RunCells(size_t count, int jobs,
-                                  const std::function<void(size_t)>& fn);
+//
+// The error list is the only trace a thrown cell leaves, so it must not be
+// dropped: benches hand it to ReportFailedCells (bench/bench_common.h).
+[[nodiscard]] std::vector<std::string> RunCells(size_t count, int jobs,
+                                                const std::function<void(size_t)>& fn);
 
 // True while the calling thread is executing a cell body for RunCells (the
 // signal nested calls use to degrade to inline execution).

@@ -28,8 +28,9 @@ SweepMatrixResult SweepMatrix::Run(const ExperimentConfig& config,
   // Cells run on the host-parallel pool; each writes only its own slot, so
   // the matrix is byte-identical for every jobs value. An exception inside
   // one cell (workload factory, machine assembly) fails that cell alone —
-  // its slot keeps ok == false and the neighbours are untouched.
-  RunCells(result.cells.size(), config.jobs, [&](size_t index) {
+  // its slot keeps ok == false and the neighbours are untouched. That flag
+  // is the sweep's failure report, so the error list is dropped on purpose.
+  static_cast<void>(RunCells(result.cells.size(), config.jobs, [&](size_t index) {
     const size_t r = index / cols;
     const size_t c = index % cols;
     ExperimentConfig cell_config = config;
@@ -52,7 +53,7 @@ SweepMatrixResult SweepMatrix::Run(const ExperimentConfig& config,
       cell.throughput = experiment.throughput;
       cell.cache_hit_ratio = experiment.representative().cache_hit_ratio;
     }
-  });
+  }));
   return result;
 }
 

@@ -4,31 +4,15 @@
 
 namespace fsbench {
 
-void Directory::GrowIndex() {
-  std::vector<uint32_t> old = std::move(index_);
-  index_.assign(old.size() * 2, kEmpty);
-  index_mask_ = index_.size() - 1;
-  for (const uint32_t id : old) {
-    if (id == kEmpty) {
-      continue;
-    }
-    size_t pos = slots_[id].hash & index_mask_;
-    while (index_[pos] != kEmpty) {
-      pos = (pos + 1) & index_mask_;
-    }
-    index_[pos] = id;
-  }
-}
-
 bool Directory::Insert(std::string_view name, InodeId ino) {
   const size_t hash = HashName(name);
   size_t pos = Probe(name, hash);
-  if (index_[pos] != kEmpty) {
+  if (!index_[pos].empty()) {
     return false;
   }
   // Keep the load factor at or under 0.7 so probe runs stay short.
   if ((entry_count_ + 1) * 10 > index_.size() * 7) {
-    GrowIndex();
+    index_.Resize(index_.size() * 2, [this](FlatId id) { return HashOfId(id); });
     pos = Probe(name, hash);
   }
   uint64_t slot;
@@ -42,59 +26,40 @@ bool Directory::Insert(std::string_view name, InodeId ino) {
     slot = slots_.size();
     slots_.push_back(Slot{std::string(name), ino, hash});
   }
-  index_[pos] = static_cast<uint32_t>(slot);
+  index_[pos].id = static_cast<uint32_t>(slot);
   ++entry_count_;
   return true;
 }
 
 std::optional<InodeId> Directory::Remove(std::string_view name) {
-  size_t hole = Probe(name, HashName(name));
-  if (index_[hole] == kEmpty) {
+  const size_t pos = Probe(name, HashName(name));
+  if (index_[pos].empty()) {
     return std::nullopt;
   }
-  const uint64_t slot = index_[hole];
+  const uint64_t slot = index_[pos].id;
   const InodeId ino = slots_[slot].ino;
   slots_[slot].name.clear();
   slots_[slot].ino = kInvalidInode;
   holes_.push_back(slot);
   --entry_count_;
-
-  // Backward-shift deletion: walk the probe run after the hole, moving back
-  // any entry probing ran past it, so no tombstones accumulate.
-  size_t pos = hole;
-  for (;;) {
-    pos = (pos + 1) & index_mask_;
-    const uint32_t id = index_[pos];
-    if (id == kEmpty) {
-      break;
-    }
-    const size_t home = slots_[id].hash & index_mask_;
-    const size_t hole_distance = (pos - hole) & index_mask_;
-    const size_t home_distance = (pos - home) & index_mask_;
-    if (home_distance < hole_distance) {
-      continue;  // its home lies strictly after the hole; still reachable
-    }
-    index_[hole] = id;
-    hole = pos;
-  }
-  index_[hole] = kEmpty;
+  index_.Erase(pos, [this](FlatId id) { return HashOfId(id); });
   return ino;
 }
 
 std::optional<InodeId> Directory::Lookup(std::string_view name) const {
-  const uint32_t id = index_[Probe(name, HashName(name))];
-  if (id == kEmpty) {
+  const std::optional<Entry> entry = Find(name);
+  if (!entry.has_value()) {
     return std::nullopt;
   }
-  return slots_[id].ino;
+  return entry->ino;
 }
 
 std::optional<uint64_t> Directory::SlotOf(std::string_view name) const {
-  const uint32_t id = index_[Probe(name, HashName(name))];
-  if (id == kEmpty) {
+  const std::optional<Entry> entry = Find(name);
+  if (!entry.has_value()) {
     return std::nullopt;
   }
-  return id;
+  return entry->slot;
 }
 
 uint64_t Directory::BlockCount(uint64_t entries_per_block) const {

@@ -5,7 +5,7 @@
 // entry occupies, which in turn determines how many block reads a linear
 // scan needs to find it.
 //
-// The name index is a flat open-addressing table (linear probe,
+// The name index is a FlatIndex (src/sim/flat_index.h: linear probe,
 // backward-shift deletion) of slot ids, with each slot caching its name's
 // hash: a lookup costs one mask, a cached-hash compare and (on match) one
 // string compare — no prime modulo, no node chase, no per-entry heap node.
@@ -22,13 +22,14 @@
 #include <string_view>
 #include <vector>
 
+#include "src/sim/flat_index.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
 
 class Directory {
  public:
-  Directory() : index_(kInitialSlots, kEmpty), index_mask_(kInitialSlots - 1) {}
+  Directory() : index_(kInitialSlots) {}
 
   // Returns false if the name already exists.
   bool Insert(std::string_view name, InodeId ino);
@@ -48,11 +49,11 @@ class Directory {
     InodeId ino = kInvalidInode;
   };
   std::optional<Entry> Find(std::string_view name) const {
-    const uint32_t id = index_[Probe(name, HashName(name))];
-    if (id == kEmpty) {
+    const FlatId id = index_[Probe(name, HashName(name))];
+    if (id.empty()) {
       return std::nullopt;
     }
-    return Entry{id, slots_[id].ino};
+    return Entry{id.id, slots_[id.id].ino};
   }
 
   // Number of live entries.
@@ -68,7 +69,6 @@ class Directory {
   std::vector<std::string> List() const;
 
  private:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
   static constexpr size_t kInitialSlots = 16;
 
   struct Slot {
@@ -96,21 +96,15 @@ class Directory {
   // (Inline: this is the per-path-component probe on the resolution hot
   // path, and its callers below inline into the file-system lookup.)
   size_t Probe(std::string_view name, size_t hash) const {
-    size_t pos = hash & index_mask_;
-    for (;;) {
-      const uint32_t id = index_[pos];
-      if (id == kEmpty || (slots_[id].hash == hash && slots_[id].name == name)) {
-        return pos;
-      }
-      pos = (pos + 1) & index_mask_;
-    }
+    return index_.Probe(hash, [this, name, hash](FlatId id) {
+      return slots_[id.id].hash == hash && slots_[id.id].name == name;
+    });
   }
-  void GrowIndex();
+  size_t HashOfId(FlatId id) const { return slots_[id.id].hash; }
 
   std::vector<Slot> slots_;
-  std::vector<uint64_t> holes_;   // indices of free slots, reused LIFO
-  std::vector<uint32_t> index_;   // open addressing: positions hold slot ids
-  size_t index_mask_;
+  std::vector<uint64_t> holes_;  // indices of free slots, reused LIFO
+  FlatIndex<FlatId> index_;      // positions hold slot ids
   size_t entry_count_ = 0;
 };
 

@@ -1,217 +1,25 @@
 #include "src/sim/flash_tier.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace fsbench {
-
-namespace {
-
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
 
 FlashTier::FlashTier(const FlashTierConfig& config)
     : config_(config),
-      capacity_pages_(static_cast<size_t>(config.capacity / config.page_size)) {
-  assert(capacity_pages_ > 0);
-  // Load factor <= 0.5 at full capacity keeps linear-probe runs short.
-  table_.assign(NextPow2(std::max<size_t>(capacity_pages_ * 2, 16)), kNil);
-  table_mask_ = table_.size() - 1;
-  keys_.reserve(capacity_pages_);
-  blocks_.reserve(capacity_pages_);
-  links_.reserve(capacity_pages_);
-  hashes_.reserve(capacity_pages_);
-  slots_.reserve(capacity_pages_);
-}
-
-void FlashTier::TableInsertAt(size_t slot, uint32_t node) {
-  assert(table_[slot] == kNil);
-  table_[slot] = node;
-  slots_[node] = static_cast<uint32_t>(slot);
-}
-
-void FlashTier::TableEraseNode(uint32_t node) {
-  size_t hole = slots_[node];
-  assert(table_[hole] == node);
-  // Backward-shift deletion: walk the probe run after `hole`, moving back
-  // any entry whose home slot lies cyclically at or before the hole, so
-  // every remaining key stays reachable from its home without tombstones.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & table_mask_;
-    const uint32_t moved = table_[slot];
-    if (moved == kNil) {
-      break;
-    }
-    const size_t home = hashes_[moved] & table_mask_;
-    const size_t hole_distance = (slot - hole) & table_mask_;
-    const size_t home_distance = (slot - home) & table_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    table_[hole] = moved;
-    slots_[moved] = static_cast<uint32_t>(hole);
-    hole = slot;
-  }
-  table_[hole] = kNil;
-}
-
-void FlashTier::TableGrow(size_t buckets) {
-  table_.assign(NextPow2(buckets), kNil);
-  table_mask_ = table_.size() - 1;
-  // Reinsert every live node at its new home; probe order within a run is
-  // rebuilt in node-allocation order, which is itself deterministic.
-  for (uint32_t n = 0; n < keys_.size(); ++n) {
-    if (keys_[n].ino == kInvalidInode) {
-      continue;  // free-list node
-    }
-    TableInsertAt(ProbeSlot(keys_[n], hashes_[n]), n);
-  }
-}
-
-void FlashTier::RehashForTest(size_t buckets) {
-  if (buckets > table_.size()) {
-    TableGrow(buckets);
-  }
-}
-
-uint32_t FlashTier::AllocNode(const PageKey& key, uint32_t hash) {
-  assert(key.ino != kInvalidInode);
-  uint32_t n;
-  if (free_head_ != kNil) {
-    n = free_head_;
-    free_head_ = links_[n].next;
-  } else {
-    assert(keys_.size() < capacity_pages_);
-    n = static_cast<uint32_t>(keys_.size());
-    keys_.emplace_back();
-    blocks_.push_back(kInvalidBlock);
-    links_.emplace_back();
-    hashes_.push_back(0);
-    slots_.push_back(0);
-  }
-  keys_[n] = key;
-  hashes_[n] = hash;
-  links_[n] = Link{};
-  return n;
-}
-
-void FlashTier::ReleaseNode(uint32_t n) {
-  keys_[n].ino = kInvalidInode;  // frees the node for RemoveFile's slab scan
-  links_[n].next = free_head_;
-  free_head_ = n;
-}
-
-void FlashTier::LruPushFront(uint32_t n) {
-  Link& link = links_[n];
-  link.prev = kNil;
-  link.next = lru_head_;
-  if (lru_head_ != kNil) {
-    links_[lru_head_].prev = n;
-  } else {
-    lru_tail_ = n;
-  }
-  lru_head_ = n;
-}
-
-void FlashTier::LruUnlink(uint32_t n) {
-  Link& link = links_[n];
-  if (link.prev != kNil) {
-    links_[link.prev].next = link.next;
-  } else {
-    lru_head_ = link.next;
-  }
-  if (link.next != kNil) {
-    links_[link.next].prev = link.prev;
-  } else {
-    lru_tail_ = link.prev;
-  }
-  link.prev = link.next = kNil;
-}
-
-void FlashTier::EraseNode(uint32_t n) {
-  LruUnlink(n);
-  TableEraseNode(n);
-  ReleaseNode(n);
-  --size_;
-}
+      cache_(static_cast<size_t>(config.capacity / config.page_size), EvictionPolicyKind::kLru) {}
 
 bool FlashTier::LookupAndPromote(const PageKey& key) {
-  const uint32_t n = FindNode(key);
-  if (n == kNil) {
+  if (!cache_.Contains(key)) {
     ++stats_.misses;
     return false;
   }
   ++stats_.hits;
-  EraseNode(n);
+  cache_.Remove(key);
   return true;
 }
 
 void FlashTier::Insert(const PageKey& key, BlockId block) {
-  const uint32_t hash = HashOf(key);
-  const size_t slot = ProbeSlot(key, hash);
-  const uint32_t existing = table_[slot];
-  if (existing != kNil) {
-    // Refresh.
-    if (lru_head_ != existing) {
-      LruUnlink(existing);
-      LruPushFront(existing);
-    }
-    blocks_[existing] = block;
-    return;
-  }
-  while (size_ >= capacity_pages_) {
-    EraseNode(lru_tail_);
-    ++stats_.evictions;
-  }
-  // The eviction may have backward-shifted the probe run: re-probe rather
-  // than trust `slot` (same re-probe-after-mutation rule as the page cache).
-  const uint32_t n = AllocNode(key, hash);
-  TableInsertAt(ProbeSlot(key, hash), n);
-  blocks_[n] = block;
-  LruPushFront(n);
-  ++size_;
-  ++stats_.insertions;
-}
-
-void FlashTier::Remove(const PageKey& key) {
-  const uint32_t n = FindNode(key);
-  if (n == kNil) {
-    return;
-  }
-  EraseNode(n);
-}
-
-void FlashTier::RemoveFile(InodeId ino) {
-  // Slab scan in node-index order: allocation history fixes the order, so
-  // the walk (and any future per-eviction charging downstream of it) is a
-  // pure function of the op sequence, never of the hash seed. O(slab) per
-  // call is fine — unlink is rare next to lookups, and the slab is bounded
-  // by the tier's capacity.
-  for (uint32_t n = 0; n < keys_.size(); ++n) {
-    if (keys_[n].ino == ino) {
-      EraseNode(n);
-    }
-  }
-}
-
-void FlashTier::Clear() {
-  std::fill(table_.begin(), table_.end(), kNil);
-  keys_.clear();
-  blocks_.clear();
-  links_.clear();
-  hashes_.clear();
-  slots_.clear();
-  free_head_ = kNil;
-  lru_head_ = lru_tail_ = kNil;
-  size_ = 0;
+  const uint64_t insertions_before = cache_.stats().insertions;
+  stats_.evictions += cache_.Insert(key, block, /*dirty=*/false).size();
+  stats_.insertions += cache_.stats().insertions - insertions_before;
 }
 
 }  // namespace fsbench

@@ -8,10 +8,10 @@ Inode* InodeTable::Insert(Inode&& inode) {
   assert(inode.ino != kInvalidInode);
   // Keep the load factor at or under 0.7 so probe runs stay short.
   if ((size_ + 1) * 10 > index_.size() * 7) {
-    Grow();
+    index_.Resize(index_.size() * 2, IndexSlot::Hash);
   }
   const size_t slot = Probe(inode.ino);
-  assert(index_[slot].ino == kInvalidInode);
+  assert(index_[slot].empty());
 
   uint32_t pos;
   if (!free_.empty()) {
@@ -28,43 +28,14 @@ Inode* InodeTable::Insert(Inode&& inode) {
 }
 
 void InodeTable::Erase(InodeId ino) {
-  size_t hole = Probe(ino);
-  if (index_[hole].ino != ino) {
+  const size_t slot = Probe(ino);
+  if (index_[slot].ino != ino) {
     return;
   }
-  slab_[index_[hole].pos] = Inode{};  // release the inode's own storage now
-  free_.push_back(index_[hole].pos);
+  slab_[index_[slot].pos] = Inode{};  // release the inode's own storage now
+  free_.push_back(index_[slot].pos);
   --size_;
-
-  // Backward-shift deletion: walk the probe run after the hole, moving back
-  // any entry probing ran past it, so no tombstones accumulate.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & mask_;
-    if (index_[slot].ino == kInvalidInode) {
-      break;
-    }
-    const size_t home = Mix(index_[slot].ino) & mask_;
-    const size_t hole_distance = (slot - hole) & mask_;
-    const size_t home_distance = (slot - home) & mask_;
-    if (home_distance < hole_distance) {
-      continue;  // its home lies strictly after the hole; still reachable
-    }
-    index_[hole] = index_[slot];
-    hole = slot;
-  }
-  index_[hole] = IndexSlot{};
-}
-
-void InodeTable::Grow() {
-  std::vector<IndexSlot> old = std::move(index_);
-  index_.assign(old.size() * 2, IndexSlot{});
-  mask_ = index_.size() - 1;
-  for (const IndexSlot& slot : old) {
-    if (slot.ino != kInvalidInode) {
-      index_[Probe(slot.ino)] = slot;
-    }
-  }
+  index_.Erase(slot, IndexSlot::Hash);
 }
 
 }  // namespace fsbench

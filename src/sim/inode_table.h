@@ -6,8 +6,8 @@
 // std::unordered_map pays a prime-modulo plus a node chase per find and a
 // node allocation per insert; this table instead keeps:
 //
-//   index_  open addressing (linear probe, murmur-mixed hash, backward-shift
-//           deletion) mapping InodeId -> slab position,
+//   index_  a FlatIndex (src/sim/flat_index.h: linear probe, MixId hash,
+//           backward-shift deletion) mapping InodeId -> slab position,
 //   slab_   a std::deque<Inode> (stable addresses across growth) whose freed
 //           positions are recycled through a LIFO free list.
 //
@@ -22,6 +22,7 @@
 #include <deque>
 #include <vector>
 
+#include "src/sim/flat_index.h"
 #include "src/sim/inode.h"
 #include "src/sim/types.h"
 
@@ -29,7 +30,7 @@ namespace fsbench {
 
 class InodeTable {
  public:
-  InodeTable() : index_(kInitialSlots), mask_(kInitialSlots - 1) {}
+  InodeTable() : index_(kInitialSlots) {}
 
   const Inode* Find(InodeId ino) const {
     const IndexSlot& slot = index_[Probe(ino)];
@@ -65,7 +66,7 @@ class InodeTable {
 
    private:
     void Settle() {
-      while (pos_ < table_->index_.size() && table_->index_[pos_].ino == kInvalidInode) {
+      while (pos_ < table_->index_.size() && table_->index_[pos_].empty()) {
         ++pos_;
       }
     }
@@ -82,31 +83,19 @@ class InodeTable {
   struct IndexSlot {
     InodeId ino = kInvalidInode;
     uint32_t pos = 0;
-  };
 
-  // Sequential inode ids need mixing before masking or consecutive files
-  // would form one long probe run (same lesson as PageKeyHash's finalizer).
-  static size_t Mix(InodeId ino) {
-    uint64_t h = ino * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 29;
-    return static_cast<size_t>(h);
-  }
+    bool empty() const { return ino == kInvalidInode; }
+    static size_t Hash(const IndexSlot& slot) { return MixId(slot.ino); }
+  };
 
   // Slot holding `ino`, or the first empty slot of its probe run.
   size_t Probe(InodeId ino) const {
-    size_t slot = Mix(ino) & mask_;
-    while (index_[slot].ino != kInvalidInode && index_[slot].ino != ino) {
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
+    return index_.Probe(MixId(ino), [ino](const IndexSlot& slot) { return slot.ino == ino; });
   }
-
-  void Grow();
 
   std::deque<Inode> slab_;
   std::vector<uint32_t> free_;  // recycled slab positions, LIFO
-  std::vector<IndexSlot> index_;
-  size_t mask_;
+  FlatIndex<IndexSlot> index_;
   size_t size_ = 0;
 };
 

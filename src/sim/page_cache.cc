@@ -5,29 +5,16 @@
 
 namespace fsbench {
 
-namespace {
-
-// Smallest power of two >= max(n, minimum), for table sizing.
-size_t TableSizeFor(size_t n, size_t minimum) {
-  size_t size = minimum;
-  while (size < n) {
-    size <<= 1;
-  }
-  return size;
-}
-
-size_t HashInode(InodeId ino) {
-  uint64_t h = ino * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  return static_cast<size_t>(h);
-}
-
-}  // namespace
-
+// Keep the key table's load factor at or under 0.25 at the worst-case
+// live-node count so linear probes are nearly collision-free and the table
+// never rehashes. Slots are 4 bytes; even the default ~105k-page ARC cache
+// pays only 4 MiB.
 PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
     : capacity_(capacity_pages),
       kind_(policy_kind),
-      geometry_(PolicyGeometry::For(policy_kind, capacity_pages)) {
+      geometry_(PolicyGeometry::For(policy_kind, capacity_pages)),
+      table_(PowerOfTwoAtLeast(4 * geometry_.max_live_nodes, 16)),
+      inode_index_(64) {
   assert(capacity_ > 0);
   const size_t max_nodes = geometry_.max_live_nodes;
   keys_.reserve(max_nodes);
@@ -38,51 +25,22 @@ PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
   blocks_.reserve(max_nodes);
   hashes_.reserve(max_nodes);
   slots_.reserve(max_nodes);
-  // Keep the load factor at or under 0.25 at the worst-case live-node count
-  // so linear probes are nearly collision-free and the table never rehashes.
-  // Slots are 4 bytes; even the default ~105k-page ARC cache pays only 4 MiB.
-  table_.assign(TableSizeFor(4 * max_nodes, 16), kNil);
-  table_mask_ = table_.size() - 1;
-  inode_index_.assign(64, InodeSlot{});
-  inode_index_mask_ = inode_index_.size() - 1;
 }
 
 // --- hash table -------------------------------------------------------------
 
 void PageCache::TableInsertAt(size_t slot, uint32_t node) {
-  assert(table_[slot] == kNil);
-  table_[slot] = node;
+  assert(table_[slot].empty());
+  table_[slot].id = node;
   slots_[node] = static_cast<uint32_t>(slot);
 }
 
 void PageCache::TableEraseNode(uint32_t node) {
-  size_t hole = slots_[node];
-  assert(table_[hole] == node);
+  assert(table_[slots_[node]].id == node);
   ++table_erase_count_;
-  // Backward-shift deletion: walk the probe run after `hole`, moving back
-  // any entry whose home slot lies cyclically at or before the hole, so
-  // every remaining key stays reachable from its home without tombstones.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & table_mask_;
-    const uint32_t moved = table_[slot];
-    if (moved == kNil) {
-      break;
-    }
-    const size_t home = hashes_[moved] & table_mask_;
-    // Keep the entry in place only if its home lies cyclically in
-    // (hole, slot]; otherwise it was pushed past the hole by probing.
-    const size_t hole_distance = (slot - hole) & table_mask_;
-    const size_t home_distance = (slot - home) & table_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    table_[hole] = moved;
-    slots_[moved] = static_cast<uint32_t>(hole);
-    hole = slot;
-  }
-  table_[hole] = kNil;
-  last_erase_hole_ = hole;
+  last_erase_hole_ = table_.Erase(
+      slots_[node], [this](FlatId slot) { return hashes_[slot.id]; },
+      [this](FlatId slot, size_t pos) { slots_[slot.id] = static_cast<uint32_t>(pos); });
 }
 
 // --- slab -------------------------------------------------------------------
@@ -154,30 +112,15 @@ void PageCache::ListLinkBefore(CacheListId id, uint32_t pos, uint32_t n) {
 // --- per-inode chain --------------------------------------------------------
 
 size_t PageCache::InodeProbe(InodeId ino) const {
-  size_t slot = HashInode(ino) & inode_index_mask_;
-  while (inode_index_[slot].head != kNil && inode_index_[slot].ino != ino) {
-    slot = (slot + 1) & inode_index_mask_;
-  }
-  return slot;
-}
-
-void PageCache::InodeIndexGrow() {
-  std::vector<InodeSlot> old = std::move(inode_index_);
-  inode_index_.assign(old.size() * 2, InodeSlot{});
-  inode_index_mask_ = inode_index_.size() - 1;
-  for (const InodeSlot& entry : old) {
-    if (entry.head != kNil) {
-      inode_index_[InodeProbe(entry.ino)] = entry;
-    }
-  }
+  return inode_index_.Probe(MixId(ino), [ino](const InodeSlot& slot) { return slot.ino == ino; });
 }
 
 void PageCache::InodeChainLink(uint32_t n) {
   const InodeId ino = keys_[n].ino;
   size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
+  if (inode_index_[slot].empty()) {
     if ((inode_index_used_ + 1) * 10 > inode_index_.size() * 7) {
-      InodeIndexGrow();
+      inode_index_.Resize(inode_index_.size() * 2, InodeSlot::Hash);
       slot = InodeProbe(ino);
     }
     inode_index_[slot] = InodeSlot{ino, n};
@@ -211,23 +154,7 @@ void PageCache::InodeChainUnlink(uint32_t n) {
 }
 
 void PageCache::InodeIndexErase(size_t slot) {
-  // Backward-shift deletion, mirroring TableEraseNode.
-  size_t hole = slot;
-  for (;;) {
-    slot = (slot + 1) & inode_index_mask_;
-    if (inode_index_[slot].head == kNil) {
-      break;
-    }
-    const size_t home = HashInode(inode_index_[slot].ino) & inode_index_mask_;
-    const size_t hole_distance = (slot - hole) & inode_index_mask_;
-    const size_t home_distance = (slot - home) & inode_index_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    inode_index_[hole] = inode_index_[slot];
-    hole = slot;
-  }
-  inode_index_[hole] = InodeSlot{};
+  inode_index_.Erase(slot, InodeSlot::Hash);
   --inode_index_used_;
 }
 
@@ -489,7 +416,7 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   }
   const uint32_t hash = HashOf(key);
   size_t slot = ProbeSlot(key, hash);
-  uint32_t n = table_[slot];
+  uint32_t n = table_[slot].id;
   if (n != kNil && IsResidentNode(n)) {
     // Refresh: update block, possibly dirty, touch recency.
     if (dirty && !IsDirty(n)) {
@@ -513,14 +440,15 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     // this key's probe run (a backward shift empties only that hole, and
     // never occupies a previously empty slot).
     const size_t erase_delta = table_erase_count_ - erases_before;
-    const size_t home = hash & table_mask_;
+    const size_t mask = table_.mask();
+    const size_t home = hash & mask;
     const bool run_intact =
         erase_delta == 0 ||
         (erase_delta == 1 && n == kNil &&
-         ((last_erase_hole_ - home) & table_mask_) > ((slot - home) & table_mask_));
+         ((last_erase_hole_ - home) & mask) > ((slot - home) & mask));
     if (!run_intact) {
       slot = ProbeSlot(key, hash);
-      n = table_[slot];
+      n = table_[slot].id;
     }
   }
 
@@ -549,7 +477,7 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
 size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
   out->clear();
   const size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
+  if (inode_index_[slot].empty()) {
     return 0;
   }
   // Chain order (most recently inserted first); callers that care about
@@ -609,7 +537,7 @@ void PageCache::Remove(const PageKey& key) {
 
 void PageCache::RemoveFile(InodeId ino) {
   const size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
+  if (inode_index_[slot].empty()) {
     return;
   }
   uint32_t n = inode_index_[slot].head;
@@ -633,7 +561,7 @@ void PageCache::Clear() {
       RemoveResidentNode(AnchorOf(id).head, /*maintain_inode_chain=*/false);
     }
   }
-  inode_index_.assign(inode_index_.size(), InodeSlot{});
+  inode_index_.Clear();
   inode_index_used_ = 0;
   clock_hand_ = kNil;
   dirty_head_ = dirty_tail_ = kNil;
@@ -678,7 +606,7 @@ bool PageCache::CheckInvariants(const char** why) const {
         *why = "table probe does not resolve to the node";
         return false;
       }
-      if (table_[slots_[n]] != n || hashes_[n] != HashOf(keys_[n])) {
+      if (table_[slots_[n]].id != n || hashes_[n] != HashOf(keys_[n])) {
         *why = "node slot back-pointer or cached hash stale";
         return false;
       }
@@ -716,7 +644,7 @@ bool PageCache::CheckInvariants(const char** why) const {
   // Inode chains: together they cover exactly the resident set.
   size_t chained = 0;
   for (const InodeSlot& entry : inode_index_) {
-    if (entry.head == kNil) {
+    if (entry.empty()) {
       continue;
     }
     uint32_t ino_prev = kNil;
@@ -736,8 +664,8 @@ bool PageCache::CheckInvariants(const char** why) const {
   }
   // Table population matches the live-node count.
   size_t table_entries = 0;
-  for (const uint32_t entry : table_) {
-    table_entries += entry != kNil ? 1 : 0;
+  for (const FlatId entry : table_) {
+    table_entries += entry.empty() ? 0 : 1;
   }
   if (table_entries != live_count_) {
     *why = "table population does not match live count";

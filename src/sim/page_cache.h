@@ -9,7 +9,8 @@
 // slab of parallel arrays ("structure of arrays": each access class lives in
 // its own dense array, so a hot path only pulls the cache lines it needs):
 //
-//   table_ (open addressing, linear probe, backward-shift deletion)
+//   table_ (FlatIndex: open addressing, linear probe, backward-shift
+//           deletion; see src/sim/flat_index.h)
 //     PageKey ──hash──> node index n ──┐
 //                                      v
 //   keys_[n]        identity, compared while probing
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
+#include "src/sim/flat_index.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -161,7 +163,7 @@ class PageCache {
   bool CheckInvariants(const char** why = nullptr) const;
 
  private:
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr uint32_t kNil = FlatId::kNone;
 
   struct Link {
     uint32_t prev = kNil;
@@ -186,6 +188,9 @@ class PageCache {
   struct InodeSlot {
     InodeId ino = kInvalidInode;
     uint32_t head = kNil;
+
+    bool empty() const { return head == kNil; }
+    static size_t Hash(const InodeSlot& slot) { return MixId(slot.ino); }
   };
 
   CacheListId ListOf(uint32_t n) const {
@@ -199,9 +204,9 @@ class PageCache {
   bool IsResidentNode(uint32_t n) const { return IsResidentList(ListOf(n)); }
 
   // --- hash table (PageKey -> node index) ---
-  // Slots hold node indices (kNil when free). Erasing goes by node, not
-  // key: the probe starts directly at slots_[n], and the backward shift
-  // takes each displaced entry's home from hashes_[] without rehashing.
+  // Slots hold node indices. Erasing goes by node, not key: the shift
+  // starts directly at slots_[n] and takes each displaced entry's home from
+  // hashes_[] without rehashing.
   static uint32_t HashOf(const PageKey& key) {
     return static_cast<uint32_t>(PageKeyHash{}(key));
   }
@@ -224,7 +229,6 @@ class PageCache {
 
   // --- per-inode chain ---
   size_t InodeProbe(InodeId ino) const;
-  void InodeIndexGrow();
   void InodeChainLink(uint32_t n);
   void InodeChainUnlink(uint32_t n);
   void InodeIndexErase(size_t slot);
@@ -262,8 +266,7 @@ class PageCache {
   size_t slab_size_ = 0;         // nodes ever allocated
   uint32_t free_head_ = kNil;    // free list threaded through links_[].next
 
-  std::vector<uint32_t> table_;  // node indices; kNil == empty
-  size_t table_mask_ = 0;
+  FlatIndex<FlatId> table_;
   size_t table_erase_count_ = 0;  // monotone; detects probe-run invalidation
   size_t last_erase_hole_ = 0;    // final hole of the latest backward shift
 
@@ -271,8 +274,7 @@ class PageCache {
   uint32_t clock_hand_ = kNil;  // kNil doubles as the ring's "end" position
   double arc_p_ = 0.0;
 
-  std::vector<InodeSlot> inode_index_;
-  size_t inode_index_mask_ = 0;
+  FlatIndex<InodeSlot> inode_index_;
   size_t inode_index_used_ = 0;
 
   uint32_t dirty_head_ = kNil;  // oldest first-dirtied page
@@ -287,18 +289,11 @@ class PageCache {
 // --- inline hot path --------------------------------------------------------
 
 inline size_t PageCache::ProbeSlot(const PageKey& key, uint32_t hash) const {
-  size_t slot = hash & table_mask_;
-  for (;;) {
-    const uint32_t node = table_[slot];
-    if (node == kNil || keys_[node] == key) {
-      return slot;
-    }
-    slot = (slot + 1) & table_mask_;
-  }
+  return table_.Probe(hash, [this, &key](FlatId slot) { return keys_[slot.id] == key; });
 }
 
 inline uint32_t PageCache::FindNode(const PageKey& key) const {
-  return table_[ProbeSlot(key, HashOf(key))];
+  return table_[ProbeSlot(key, HashOf(key))].id;
 }
 
 inline void PageCache::ListPushFront(CacheListId id, uint32_t n) {

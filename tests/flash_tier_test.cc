@@ -18,51 +18,6 @@ FlashTierConfig SmallTier(size_t pages) {
 
 PageKey Key(uint64_t index) { return PageKey{1, index}; }
 
-// RemoveFile (and everything downstream of it) must not depend on the hash
-// table's bucket count: two tiers — one freshly built, one pre-rehashed to a
-// much larger table, so every key lands in different buckets in a different
-// order — are driven through an identical op sequence with a mid-stream
-// RemoveFile, and must agree on every stat and every membership probe. This
-// is the regression test for the old hash-order RemoveFile walk.
-TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
-  const FlashTierConfig config = SmallTier(32);
-  FlashTier fresh(config);
-  FlashTier rehashed(config);
-  rehashed.RehashForTest(4096);
-
-  auto drive = [](FlashTier& tier) {
-    // Interleave three files so RemoveFile has scattered matches.
-    for (uint64_t i = 0; i < 24; ++i) {
-      tier.Insert(PageKey{1, i}, 100 + i);
-      tier.Insert(PageKey{2, i}, 200 + i);
-      tier.Insert(PageKey{3, i}, 300 + i);  // overflows capacity: evictions
-    }
-    tier.RemoveFile(2);
-    // Post-removal traffic: hit/miss pattern and further evictions must be
-    // unaffected by the bucket count the removal walked.
-    for (uint64_t i = 0; i < 24; ++i) {
-      tier.LookupAndPromote(PageKey{1, i});
-      tier.LookupAndPromote(PageKey{2, i});
-      tier.Insert(PageKey{4, i}, 400 + i);
-    }
-  };
-  drive(fresh);
-  drive(rehashed);
-
-  EXPECT_EQ(fresh.stats(), rehashed.stats());
-  EXPECT_EQ(fresh.size(), rehashed.size());
-  for (uint64_t ino = 1; ino <= 4; ++ino) {
-    for (uint64_t i = 0; i < 24; ++i) {
-      EXPECT_EQ(fresh.Contains(PageKey{ino, i}), rehashed.Contains(PageKey{ino, i}))
-          << "ino " << ino << " page " << i;
-    }
-  }
-  // No entry of the removed file survives in either tier.
-  for (uint64_t i = 0; i < 24; ++i) {
-    EXPECT_FALSE(fresh.Contains(PageKey{2, i}));
-  }
-}
-
 TEST(FlashTierTest, MissThenHit) {
   FlashTier tier(SmallTier(8));
   EXPECT_FALSE(tier.LookupAndPromote(Key(0)));

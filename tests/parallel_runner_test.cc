@@ -7,7 +7,8 @@
 //   2. the pool is reusable and stable: running the same sweep twice at
 //      jobs=8 digests identically (no cross-run pool state);
 //   3. failure is cell-local: one throwing cell reports its own error and
-//      neighbours complete untouched.
+//      neighbours complete untouched, and a bench reports it instead of
+//      writing the cell's empty slot as a result.
 // Plus unit coverage for ResolveJobs / nested-inline execution.
 #include "src/core/parallel_runner.h"
 
@@ -16,8 +17,10 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/experiment.h"
 #include "src/core/sweep.h"
 #include "src/core/workloads/postmark_like.h"
@@ -117,6 +120,30 @@ TEST(RunCellsTest, ThrowingCellFailsAloneWithItsMessage) {
       EXPECT_TRUE(errors[i].empty()) << "index " << i << ": " << errors[i];
     }
   }
+}
+
+TEST(RunCellsTest, BenchReportsAThrowingCellAndFails) {
+  // The bench-side contract: a cell that throws leaves its slot zero-filled,
+  // so ReportFailedCells must name it on stderr and tell the bench to exit
+  // nonzero instead of rendering that slot as a row.
+  std::vector<double> rows(4, 0.0);
+  const std::vector<std::string> errors = RunCells(rows.size(), 4, [&](size_t i) {
+    if (i == 2) {
+      throw std::runtime_error("run came back not ok");
+    }
+    rows[i] = 1.0;
+  });
+  const auto label = [](size_t i) { return "cell " + std::to_string(i); };
+  testing::internal::CaptureStderr();
+  const bool failed = ReportFailedCells(errors, label);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "FAILED: cell 2: run came back not ok\n");
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(rows, (std::vector<double>{1.0, 1.0, 0.0, 1.0}));
+
+  // An all-ok sweep reports nothing.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(ReportFailedCells(RunCells(3, 4, [](size_t) {}), label));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(RunCellsTest, NestedCallsRunInlineOnTheWorker) {
