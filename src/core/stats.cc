@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include <math.h>  // lgamma_r (POSIX)
+
 namespace fsbench {
 
 void RunningStats::Add(double value) {
@@ -139,6 +141,14 @@ double BetaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
+// ln|Gamma(x)|. std::lgamma stores the sign of Gamma(x) in libm's global
+// `signgam`, a data race when experiments summarize on parallel workers;
+// the reentrant lgamma_r returns the same value and keeps the sign local.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 }  // namespace
 
 double RegularizedIncompleteBeta(double a, double b, double x) {
@@ -149,7 +159,7 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
     return 1.0;
   }
   const double ln_beta =
-      std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) + a * std::log(x) +
+      LogGamma(a + b) - LogGamma(a) - LogGamma(b) + a * std::log(x) +
       b * std::log(1.0 - x);
   const double front = std::exp(ln_beta);
   if (x < (a + 1.0) / (a + b + 2.0)) {

@@ -71,6 +71,36 @@ FsResult<BlockId> Ext2Fs::MapPageFor(const Inode& inode, uint64_t page_index, Me
   return FsResult<BlockId>::Ok(inode.block_map[page_index]);
 }
 
+uint64_t Ext2Fs::ChainRunEnd(uint64_t page) const {
+  const uint64_t direct = direct_pages();
+  const uint64_t ptrs = pointers_per_block();
+  return page < direct ? direct : direct + ((page - direct) / ptrs + 1) * ptrs;
+}
+
+FsResult<uint64_t> Ext2Fs::MapPageRun(InodeId ino, uint64_t first_page, std::span<BlockId> blocks,
+                                      MetaIo* io) {
+  assert(!blocks.empty());
+  const Inode* inode = FindInode(ino);
+  if (inode == nullptr) {
+    return FsResult<uint64_t>::Error(FsStatus::kNotFound);
+  }
+  const std::vector<BlockId>& map = inode->block_map;
+  const uint64_t end = std::min(first_page + blocks.size(), ChainRunEnd(first_page));
+  const auto mapped = [&map](uint64_t page) {
+    return page < map.size() && map[page] != kInvalidBlock;
+  };
+  const bool hole = !mapped(first_page);
+  if (!hole) {
+    MapPageFor(*inode, first_page, io);  // the run's shared meta reads
+  }
+  uint64_t page = first_page;
+  do {
+    blocks[page - first_page] = hole ? kInvalidBlock : map[page];
+    ++page;
+  } while (page < end && mapped(page) != hole);
+  return FsResult<uint64_t>::Ok(page - first_page);
+}
+
 BlockId Ext2Fs::DataGoal(const Inode& inode, uint64_t page) const {
   if (page > 0 && page - 1 < inode.block_map.size() &&
       inode.block_map[page - 1] != kInvalidBlock) {
@@ -140,13 +170,10 @@ FsStatus Ext2Fs::AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) {
   std::vector<BlockId>& map = inode->block_map;
   assert(map.empty());
   map.reserve(pages);
-  const uint64_t direct = direct_pages();
-  const uint64_t ptrs = pointers_per_block();
   FsStatus status = FsStatus::kOk;
   uint64_t page = 0;
   while (page < pages && status == FsStatus::kOk) {
-    const uint64_t run_end =
-        std::min(pages, page < direct ? direct : direct + ((page - direct) / ptrs + 1) * ptrs);
+    const uint64_t run_end = std::min(pages, ChainRunEnd(page));
     io->Reset();
     status = EnsureIndirectChain(*inode, page, io);
     if (status != FsStatus::kOk) {

@@ -39,6 +39,12 @@ class Ext2Fs : public FileSystem {
   // miss, and from BlockAllocator::AllocateRunAt in between.
   FsStatus AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) override;
 
+  // The same runs for mapping: a mapped run ends at its chain's last page
+  // or before the first hole, and a hole run (no meta reads) before the
+  // next mapped page.
+  FsResult<uint64_t> MapPageRun(InodeId ino, uint64_t first_page, std::span<BlockId> blocks,
+                                MetaIo* io) override;
+
   // Deepest possible indirect chain: single, double root+leaf, triple
   // root+mid+leaf.
   static constexpr uint32_t kMaxIndirectDepth = 3;
@@ -67,6 +73,10 @@ class Ext2Fs : public FileSystem {
 
   // Ensures the indirect chain for `page` exists; charges meta writes.
   FsStatus EnsureIndirectChain(Inode& inode, uint64_t page, MetaIo* io);
+
+  // One past the last page whose indirect chain is that of `page`: the 12
+  // direct pages form one run, then each indirect leaf's pointers_per_block.
+  uint64_t ChainRunEnd(uint64_t page) const;
 
   uint64_t pointers_per_block() const { return params_.block_size / 4; }
   uint64_t direct_pages() const { return 12; }

@@ -138,6 +138,17 @@ FsStatus FileSystem::AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io) 
   return FsStatus::kOk;
 }
 
+FsResult<uint64_t> FileSystem::MapPageRun(InodeId ino, uint64_t first_page,
+                                          std::span<BlockId> blocks, MetaIo* io) {
+  assert(!blocks.empty());
+  const FsResult<BlockId> mapping = MapPage(ino, first_page, io);
+  if (!mapping.ok()) {
+    return FsResult<uint64_t>::Error(mapping.status);
+  }
+  blocks[0] = mapping.value;
+  return FsResult<uint64_t>::Ok(1);
+}
+
 BlockId FileSystem::InodeTableBlock(const Inode& inode) const { return inode.itable_block; }
 
 uint64_t FileSystem::PickGroup(const Inode& parent, FileType type) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -129,6 +130,16 @@ class FileSystem {
   // and its contents on return are unspecified. The default does exactly
   // that loop; file systems override it to allocate a run at a time.
   virtual FsStatus AllocateFilePages(InodeId ino, uint64_t pages, MetaIo* io);
+
+  // Set-up only: maps the run of pages from `first_page` that share one
+  // meta-read set, at most blocks.size() (>= 1) of them, and returns its
+  // length (>= 1). That set — the reads MapPage charges for every page of
+  // the run — is appended to `io->reads` once, and the front of `blocks`
+  // receives each page's block, kInvalidBlock for a hole. The default maps
+  // the single page `first_page` with MapPage; file systems override it to
+  // map a run at a time.
+  virtual FsResult<uint64_t> MapPageRun(InodeId ino, uint64_t first_page,
+                                        std::span<BlockId> blocks, MetaIo* io);
 
   // --- Per-FS behaviour knobs ---
 

@@ -405,7 +405,8 @@ void PageCache::PrefetchVictimHint() const {
   }
 }
 
-void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBatch* evicted) {
+uint32_t PageCache::InsertNode(const PageKey& key, BlockId block, bool dirty,
+                               EvictedBatch* evicted) {
   if (evicted != nullptr) {
     // One Insert evicts at most one page, but a reused batch must not creep
     // toward the inline bound across calls: each call reports only its own.
@@ -424,7 +425,7 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     }
     blocks_[n] = block;
     PolicyResidentAccess(n);
-    return;
+    return n;
   }
 
   if (resident_count_ >= capacity_) {
@@ -472,6 +473,11 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     DirtyChainAppend(n);
   }
   ++stats_.insertions;
+  return n;
+}
+
+void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBatch* evicted) {
+  InsertNode(key, block, dirty, evicted);
 }
 
 size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {

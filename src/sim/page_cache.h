@@ -29,6 +29,8 @@
 //   - Insert: one probe on the hit path; the miss path re-probes once after
 //     eviction has mutated the table, and reports victims into a caller
 //     buffer instead of a heap-allocated vector.
+//   - InsertRun (prewarm): a run's meta pages are refreshed through
+//     remembered node ids, re-checked instead of re-probed.
 //   - RemoveFile: walks the per-inode chain, O(resident pages of the file).
 //   - TakeDirty: pops the dirty chain head, O(pages taken), in deterministic
 //     first-dirtied order (FIFO writeback).
@@ -39,10 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
 #include "src/sim/flat_index.h"
+#include "src/sim/small_vec.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -107,6 +111,25 @@ class PageCache {
     Insert(key, block, dirty, &batch);
     return batch;
   }
+
+  // Set-up bulk form of the prewarm step for pages [first_page, first_page
+  // + blocks.size()) of `ino`. Does exactly what this loop does:
+  //
+  //   for each page i:
+  //     for (const MetaRef& ref : meta)
+  //       Insert({ref.ino, ref.index}, ref.block, /*dirty=*/false, nullptr);
+  //     Insert({ino, first_page + i}, blocks[i], /*dirty=*/false, &batch);
+  //     for (const Evicted& victim : batch) on_data_victim(victim);
+  //
+  // so victims of the meta inserts are dropped. `meta` is any indexable
+  // list of MetaRef (a MetaIo read list, a vector). Meta keys are refreshed
+  // through the node ids they had on the previous page, re-checked against
+  // the key because eviction may have freed or reused a node, so a meta set
+  // that stays resident costs no hash probe. Allocates nothing unless
+  // `meta` has more than 12 entries.
+  template <typename MetaRefs, typename OnVictim>
+  void InsertRun(const MetaRefs& meta, InodeId ino, uint64_t first_page,
+                 std::span<const BlockId> blocks, OnVictim&& on_data_victim);
 
   // Marks a resident page dirty; returns false if not resident.
   bool MarkDirty(const PageKey& key);
@@ -246,6 +269,8 @@ class PageCache {
   void PrefetchVictimHint() const;        // overlap victim lines with the probe
   void PolicyDemoteVictim(uint32_t n);    // ghost transition or free
   void EvictOne(EvictedBatch* evicted);
+  uint32_t InsertNode(const PageKey& key, BlockId block, bool dirty,
+                      EvictedBatch* evicted);  // Insert; returns the key's node
   void RemoveResidentNode(uint32_t n, bool maintain_inode_chain);
   void FreeGhostNode(uint32_t n);
 
@@ -391,6 +416,40 @@ inline void PageCache::DirtyChainAppend(uint32_t n) {
   }
   dirty_tail_ = n;
   ++dirty_count_;
+}
+
+template <typename MetaRefs, typename OnVictim>
+void PageCache::InsertRun(const MetaRefs& meta, InodeId ino, uint64_t first_page,
+                          std::span<const BlockId> blocks, OnVictim&& on_data_victim) {
+  // Data keys are fresh, so each insert probes the table; the slot a key
+  // hashes to is fetched this many pages ahead.
+  constexpr size_t kPrefetchPages = 8;
+  SmallVec<uint32_t, 12> nodes;  // node id of meta[j] on the previous page
+  for (uint32_t j = 0; j < meta.size(); ++j) {
+    nodes.push_back(kNil);
+  }
+  EvictedBatch batch;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (i + kPrefetchPages < blocks.size()) {
+      const PageKey ahead{ino, first_page + i + kPrefetchPages};
+      __builtin_prefetch(&table_[HashOf(ahead) & table_.mask()]);
+    }
+    for (uint32_t j = 0; j < meta.size(); ++j) {
+      const PageKey key{meta[j].ino, meta[j].index};
+      uint32_t& n = nodes[j];
+      if (n != kNil && IsResidentNode(n) && keys_[n] == key) {
+        // Insert's refresh path for a clean page.
+        blocks_[n] = meta[j].block;
+        PolicyResidentAccess(n);
+      } else {
+        n = InsertNode(key, meta[j].block, /*dirty=*/false, nullptr);
+      }
+    }
+    InsertNode(PageKey{ino, first_page + i}, blocks[i], /*dirty=*/false, &batch);
+    for (const Evicted& victim : batch) {
+      on_data_victim(victim);
+    }
+  }
 }
 
 inline bool PageCache::MarkDirty(const PageKey& key) {

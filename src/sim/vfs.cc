@@ -1,7 +1,9 @@
 #include "src/sim/vfs.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <span>
 #include <string_view>
 
 namespace fsbench {
@@ -801,27 +803,33 @@ FsStatus Vfs::PrewarmFile(std::string_view path) {
   if (!attr.ok()) {
     return attr.status;
   }
+  // One mapping run at a time: every page of a run shares its meta reads,
+  // and InsertRun gives each page the same cache operations as inserting
+  // those meta pages and then the data page. Data-page evictions demote into
+  // the flash tier (when present) so prewarm reproduces the steady tiering.
+  // Meta-page evictions are dropped, unlike InsertPage, which demotes every
+  // victim; demoting them too would change results. The run scratch is
+  // meta_scratch_ and a stack buffer of one ext2 indirect leaf's pages at
+  // 4 KiB blocks: prewarm allocates nothing.
+  constexpr uint64_t kRunPages = 1024;
+  std::array<BlockId, kRunPages> blocks{};
+  const auto demote = [this](const PageCache::Evicted& victim) {
+    if (flash_ != nullptr && victim.block != kInvalidBlock) {
+      flash_->Insert(victim.key, victim.block);
+    }
+  };
   const uint64_t pages = CeilDiv(attr.value.size, config_.page_size);
-  for (uint64_t page = 0; page < pages; ++page) {
+  for (uint64_t page = 0; page < pages;) {
     meta_scratch_.Reset();
-    const FsResult<BlockId> mapping = fs_->MapPage(current, page, &meta_scratch_);
-    if (!mapping.ok()) {
-      return mapping.status;
+    const FsResult<uint64_t> run = fs_->MapPageRun(
+        current, page, std::span(blocks).first(std::min(pages - page, kRunPages)),
+        &meta_scratch_);
+    if (!run.ok()) {
+      return run.status;
     }
-    // Meta pages are warmed too, without timing. Evictions demote into the
-    // flash tier (when present) so prewarm reproduces the steady tiering.
-    for (const MetaRef& ref : meta_scratch_.reads) {
-      cache_.Insert(PageKey{ref.ino, ref.index}, ref.block, /*dirty=*/false, nullptr);
-    }
-    PageCache::EvictedBatch evicted;
-    cache_.Insert(PageKey{current, page}, mapping.value, /*dirty=*/false, &evicted);
-    if (flash_ != nullptr) {
-      for (const PageCache::Evicted& victim : evicted) {
-        if (victim.block != kInvalidBlock) {
-          flash_->Insert(victim.key, victim.block);
-        }
-      }
-    }
+    cache_.InsertRun(meta_scratch_.reads, current, page, std::span(blocks).first(run.value),
+                     demote);
+    page += run.value;
   }
   return FsStatus::kOk;
 }
