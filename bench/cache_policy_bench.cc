@@ -88,26 +88,14 @@ int Run(const BenchArgs& args) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const char* path = "BENCH_cache.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+  BenchJson json("cache_policy");
+  json.header().Int("ops_per_cell", ops);
+  for (const CacheBenchResult& r : results) {
+    json.AddRow().Str("policy", r.policy).Int("capacity", r.capacity).Int("ops", r.ops)
+        .Fixed("seconds", r.seconds, 6).Fixed("mops_per_sec", r.mops_per_sec, 3)
+        .Fixed("hit_ratio", r.hit_ratio, 4);
   }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"bench\": \"cache_policy\",\n  \"ops_per_cell\": %llu,\n  \"results\": [\n",
-               static_cast<unsigned long long>(ops));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CacheBenchResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"policy\": \"%s\", \"capacity\": %zu, \"ops\": %llu, "
-                 "\"seconds\": %.6f, \"mops_per_sec\": %.3f, \"hit_ratio\": %.4f}%s\n",
-                 r.policy, r.capacity, static_cast<unsigned long long>(r.ops), r.seconds,
-                 r.mops_per_sec, r.hit_ratio, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  return json.Write("BENCH_cache.json") ? 0 : 1;
 }
 
 }  // namespace

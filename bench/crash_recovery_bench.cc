@@ -121,43 +121,20 @@ int Run(const BenchArgs& args) {
       "un-flushed data pages show up in the dirty-lost column instead. This\n"
       "axis is the half steady-state benchmarks don't measure.\n");
 
-  const char* path = "BENCH_recovery.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"schema\": 1,\n  \"bench\": \"crash_recovery\",\n  \"seed\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(args.seed));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& cell = results[i];
+  BenchJson json("crash_recovery");
+  json.header().Int("seed", args.seed);
+  for (const CellResult& cell : results) {
     const CrashReport& r = cell.report;
-    std::fprintf(
-        out,
-        "    {\"fs\": \"%s\", \"crash_op\": %llu, \"ops_issued\": %llu, "
-        "\"recovery_watermark\": %llu, \"recovery_latency_ms\": %.3f, "
-        "\"replay_log_blocks\": %llu, \"replay_home_blocks\": %llu, \"fsck_blocks\": %llu, "
-        "\"durable_txns\": %llu, \"torn_txns\": %llu, \"dirty_pages_lost\": %llu, "
-        "\"volatile_blocks\": %llu, \"consistent\": %s}%s\n",
-        cell.fs.c_str(), static_cast<unsigned long long>(cell.crash_op),
-        static_cast<unsigned long long>(r.ops_issued),
-        static_cast<unsigned long long>(r.recovery_watermark),
-        static_cast<double>(r.recovery_latency) / kMillisecond,
-        static_cast<unsigned long long>(r.replay_log_blocks),
-        static_cast<unsigned long long>(r.replay_home_blocks),
-        static_cast<unsigned long long>(r.fsck_blocks),
-        static_cast<unsigned long long>(r.durable_txns),
-        static_cast<unsigned long long>(r.torn_txns),
-        static_cast<unsigned long long>(r.dirty_pages_lost),
-        static_cast<unsigned long long>(r.volatile_blocks),
-        r.recovered_consistent ? "true" : "false", i + 1 < results.size() ? "," : "");
+    json.AddRow().Str("fs", cell.fs).Int("crash_op", cell.crash_op).Int("ops_issued", r.ops_issued)
+        .Int("recovery_watermark", r.recovery_watermark)
+        .Fixed("recovery_latency_ms", static_cast<double>(r.recovery_latency) / kMillisecond, 3)
+        .Int("replay_log_blocks", r.replay_log_blocks)
+        .Int("replay_home_blocks", r.replay_home_blocks).Int("fsck_blocks", r.fsck_blocks)
+        .Int("durable_txns", r.durable_txns).Int("torn_txns", r.torn_txns)
+        .Int("dirty_pages_lost", r.dirty_pages_lost).Int("volatile_blocks", r.volatile_blocks)
+        .Bool("consistent", r.recovered_consistent);
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  return json.Write("BENCH_recovery.json") ? 0 : 1;
 }
 
 }  // namespace

@@ -231,38 +231,19 @@ int Run(const BenchArgs& args) {
       "type changes the shape of the scaling curve — a benchmark that fixes\n"
       "it reports neither behaviour.\n");
 
-  const char* path = "BENCH_ssd.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"bench\": \"device_scaling\",\n  \"seed\": %llu,\n"
-                    "  \"results\": [\n",
-               static_cast<unsigned long long>(args.seed));
-  const size_t total = block_points.size() + fs_points.size();
-  size_t emitted = 0;
+  BenchJson json("device_scaling");
+  json.header().Int("seed", args.seed);
   for (const BlockPoint& p : block_points) {
-    ++emitted;
-    std::fprintf(out,
-                 "    {\"phase\": \"block\", \"config\": \"%s\", \"channels\": %u, "
-                 "\"queue_depth\": %u, \"kiops\": %.3f, \"mean_latency_us\": %.3f}%s\n",
-                 p.config.c_str(), p.channels, p.queue_depth, p.kiops, p.mean_latency_us,
-                 emitted < total ? "," : "");
+    json.AddRow().Str("phase", "block").Str("config", p.config).Int("channels", p.channels)
+        .Int("queue_depth", p.queue_depth).Fixed("kiops", p.kiops, 3)
+        .Fixed("mean_latency_us", p.mean_latency_us, 3);
   }
   for (const FsPoint& p : fs_points) {
-    ++emitted;
-    std::fprintf(out,
-                 "    {\"phase\": \"postmark\", \"config\": \"%s\", \"threads\": %d, "
-                 "\"agg_ops_per_sec\": %.3f, \"speedup_vs_1\": %.4f, "
-                 "\"sync_queue_delay_ms\": %.3f}%s\n",
-                 p.device, p.threads, p.agg_ops_per_sec, p.speedup_vs_1,
-                 p.sync_queue_delay_ms, emitted < total ? "," : "");
+    json.AddRow().Str("phase", "postmark").Str("config", p.device).Int("threads", p.threads)
+        .Fixed("agg_ops_per_sec", p.agg_ops_per_sec, 3).Fixed("speedup_vs_1", p.speedup_vs_1, 4)
+        .Fixed("sync_queue_delay_ms", p.sync_queue_delay_ms, 3);
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  return json.Write("BENCH_ssd.json") ? 0 : 1;
 }
 
 }  // namespace

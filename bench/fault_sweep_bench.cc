@@ -187,49 +187,24 @@ int Run(const BenchArgs& args) {
       "retry/backoff time in the p99 tail. That ordering — and the read-only\n"
       "cliff — is the reliability result steady-state benchmarks cannot show.\n");
 
-  const char* path = "BENCH_faults.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+  BenchJson json("fault_sweep");
+  json.header().Int("seed", args.seed);
+  for (const CellResult& cell : results) {
+    const FaultSummary& f = cell.run.fault;
+    json.AddRow().Str("fs", cell.fs).Str("policy", cell.policy).Num("rate", cell.rate)
+        .Fixed("ops_per_second", cell.ops_per_second, 2)
+        .Fixed("p99_ms", static_cast<double>(cell.p99) / kMillisecond, 3)
+        .Int("ops", cell.run.ops).Int("failed_ops", cell.run.failed_ops)
+        .Int("device_errors", f.device_errors).Int("transient_faults", f.transient_faults)
+        .Int("persistent_faults", f.persistent_faults).Int("slow_ios", f.slow_ios)
+        .Int("retries", f.retries)
+        .Fixed("backoff_ms", static_cast<double>(f.retry_backoff_time) / kMillisecond, 3)
+        .Int("remapped_regions", f.remapped_regions).Int("spare_regions_left", f.spare_regions_left)
+        .Int("meta_io_failures", f.meta_io_failures).Int("degraded_reads", f.degraded_reads)
+        .Int("readonly_rejects", f.readonly_rejects).Bool("remounted_ro", f.remounted_ro)
+        .Bool("journal_aborted", f.journal_aborted);
   }
-  std::fprintf(out,
-               "{\n  \"schema\": 1,\n  \"bench\": \"fault_sweep\",\n  \"seed\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(args.seed));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& cell = results[i];
-    const FaultSummary& fault = cell.run.fault;
-    std::fprintf(
-        out,
-        "    {\"fs\": \"%s\", \"policy\": \"%s\", \"rate\": %g, \"ops_per_second\": %.2f, "
-        "\"p99_ms\": %.3f, \"ops\": %llu, \"failed_ops\": %llu, \"device_errors\": %llu, "
-        "\"transient_faults\": %llu, \"persistent_faults\": %llu, \"slow_ios\": %llu, "
-        "\"retries\": %llu, \"backoff_ms\": %.3f, \"remapped_regions\": %llu, "
-        "\"spare_regions_left\": %llu, \"meta_io_failures\": %llu, \"degraded_reads\": %llu, "
-        "\"readonly_rejects\": %llu, \"remounted_ro\": %s, \"journal_aborted\": %s}%s\n",
-        cell.fs.c_str(), cell.policy.c_str(), cell.rate, cell.ops_per_second,
-        static_cast<double>(cell.p99) / kMillisecond,
-        static_cast<unsigned long long>(cell.run.ops),
-        static_cast<unsigned long long>(cell.run.failed_ops),
-        static_cast<unsigned long long>(fault.device_errors),
-        static_cast<unsigned long long>(fault.transient_faults),
-        static_cast<unsigned long long>(fault.persistent_faults),
-        static_cast<unsigned long long>(fault.slow_ios),
-        static_cast<unsigned long long>(fault.retries),
-        static_cast<double>(fault.retry_backoff_time) / kMillisecond,
-        static_cast<unsigned long long>(fault.remapped_regions),
-        static_cast<unsigned long long>(fault.spare_regions_left),
-        static_cast<unsigned long long>(fault.meta_io_failures),
-        static_cast<unsigned long long>(fault.degraded_reads),
-        static_cast<unsigned long long>(fault.readonly_rejects),
-        fault.remounted_ro ? "true" : "false", fault.journal_aborted ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  return json.Write("BENCH_faults.json") ? 0 : 1;
 }
 
 }  // namespace

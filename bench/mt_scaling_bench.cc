@@ -177,28 +177,15 @@ int Run(const BenchArgs& args) {
       "added threads land on idle channels instead of one head's queue.\n"
       "A single-thread-count result reports none of these effects.\n");
 
-  const char* path = "BENCH_mt.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
+  BenchJson json("mt_scaling");
+  json.header().Int("seed", args.seed);
+  for (const ScalePoint& p : points) {
+    json.AddRow().Str("workload", p.workload).Int("threads", p.threads)
+        .Fixed("agg_ops_per_sec", p.agg_ops_per_sec, 3).Fixed("speedup_vs_1", p.speedup_vs_1, 4)
+        .Fixed("mean_latency_us", p.mean_latency_us, 3).Int("max_queue_depth", p.max_queue_depth)
+        .Fixed("sync_queue_delay_ms", p.sync_queue_delay_ms, 3);
   }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"bench\": \"mt_scaling\",\n  \"seed\": %llu,\n"
-                    "  \"results\": [\n",
-               static_cast<unsigned long long>(args.seed));
-  for (size_t i = 0; i < points.size(); ++i) {
-    const ScalePoint& p = points[i];
-    std::fprintf(out,
-                 "    {\"workload\": \"%s\", \"threads\": %d, \"agg_ops_per_sec\": %.3f, "
-                 "\"speedup_vs_1\": %.4f, \"mean_latency_us\": %.3f, "
-                 "\"max_queue_depth\": %zu, \"sync_queue_delay_ms\": %.3f}%s\n",
-                 p.workload, p.threads, p.agg_ops_per_sec, p.speedup_vs_1, p.mean_latency_us,
-                 p.max_queue_depth, p.sync_queue_delay_ms, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return 0;
+  return json.Write("BENCH_mt.json") ? 0 : 1;
 }
 
 }  // namespace

@@ -244,52 +244,27 @@ int Run(const BenchArgs& args) {
       "redundancy before a second failure — 'loss' stays clear only because\n"
       "it wins.\n");
 
-  const char* path = "BENCH_redundancy.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"schema\": 1,\n  \"bench\": \"redundancy\",\n  \"seed\": %llu,\n"
-               "  \"results\": [\n",
-               static_cast<unsigned long long>(args.seed));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
+  BenchJson json("redundancy");
+  json.header().Int("seed", args.seed);
+  for (const CellResult& r : results) {
     const ArraySummary& a = r.run.array;
-    std::fprintf(
-        out,
-        "    {\"geometry\": \"%s\", \"mode\": \"%s\", \"scrub\": %s, \"rate\": %g, "
-        "\"ops_per_second\": %.2f, \"p99_ms\": %.3f, \"ops\": %llu, \"failed_ops\": %llu, "
-        "\"degraded_reads\": %llu, \"mirror_rescues\": %llu, \"lost_stripes\": %llu, "
-        "\"replica_write_errors\": %llu, \"device_failures\": %llu, "
-        "\"scrub_regions_scanned\": %llu, \"scrub_detections\": %llu, "
-        "\"scrub_preempted\": %llu, \"scrub_repairs\": %llu, \"rebuilds_started\": %llu, "
-        "\"rebuilds_completed\": %llu, \"rebuild_regions_copied\": %llu, "
-        "\"remapped_regions\": %llu, \"data_loss\": %s, \"remounted_ro\": %s}%s\n",
-        r.cell->name, r.cell->mode, r.cell->scrub ? "true" : "false", r.rate, r.ops_per_second,
-        static_cast<double>(r.p99) / kMillisecond, static_cast<unsigned long long>(r.run.ops),
-        static_cast<unsigned long long>(r.run.failed_ops),
-        static_cast<unsigned long long>(a.degraded_reads),
-        static_cast<unsigned long long>(a.mirror_rescues),
-        static_cast<unsigned long long>(a.lost_stripes),
-        static_cast<unsigned long long>(a.replica_write_errors),
-        static_cast<unsigned long long>(a.device_failures),
-        static_cast<unsigned long long>(a.scrub_regions_scanned),
-        static_cast<unsigned long long>(a.scrub_detections),
-        static_cast<unsigned long long>(a.scrub_preempted),
-        static_cast<unsigned long long>(a.scrub_repairs),
-        static_cast<unsigned long long>(a.rebuilds_started),
-        static_cast<unsigned long long>(a.rebuilds_completed),
-        static_cast<unsigned long long>(a.rebuild_regions_copied),
-        static_cast<unsigned long long>(r.run.fault.remapped_regions),
-        a.data_loss ? "true" : "false", r.run.fault.remounted_ro ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
+    json.AddRow().Str("geometry", r.cell->name).Str("mode", r.cell->mode)
+        .Bool("scrub", r.cell->scrub).Num("rate", r.rate)
+        .Fixed("ops_per_second", r.ops_per_second, 2)
+        .Fixed("p99_ms", static_cast<double>(r.p99) / kMillisecond, 3).Int("ops", r.run.ops)
+        .Int("failed_ops", r.run.failed_ops).Int("degraded_reads", a.degraded_reads)
+        .Int("mirror_rescues", a.mirror_rescues).Int("lost_stripes", a.lost_stripes)
+        .Int("replica_write_errors", a.replica_write_errors)
+        .Int("device_failures", a.device_failures)
+        .Int("scrub_regions_scanned", a.scrub_regions_scanned)
+        .Int("scrub_detections", a.scrub_detections).Int("scrub_preempted", a.scrub_preempted)
+        .Int("scrub_repairs", a.scrub_repairs).Int("rebuilds_started", a.rebuilds_started)
+        .Int("rebuilds_completed", a.rebuilds_completed)
+        .Int("rebuild_regions_copied", a.rebuild_regions_copied)
+        .Int("remapped_regions", r.run.fault.remapped_regions).Bool("data_loss", a.data_loss)
+        .Bool("remounted_ro", r.run.fault.remounted_ro);
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
-  return exit_code;
+  return json.Write("BENCH_redundancy.json") ? exit_code : 1;
 }
 
 }  // namespace

@@ -314,25 +314,15 @@ int Run(const BenchArgs& args) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const char* path = "BENCH_vfs.json";
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
+  BenchJson json("vfs_op");
+  for (const LoopResult& r : results) {
+    json.AddRow().Str("loop", r.loop).Int("ops", r.ops).Fixed("seconds", r.seconds, 6)
+        .Fixed("mops_per_sec", r.mops_per_sec, 3).Int("steady_allocs", r.steady_allocs)
+        .Bool("alloc_checked", r.alloc_checked);
+  }
+  if (!json.Write("BENCH_vfs.json")) {
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"bench\": \"vfs_op\",\n  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const LoopResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"loop\": \"%s\", \"ops\": %llu, \"seconds\": %.6f, "
-                 "\"mops_per_sec\": %.3f, \"steady_allocs\": %llu, \"alloc_checked\": %s}%s\n",
-                 r.loop, static_cast<unsigned long long>(r.ops), r.seconds, r.mops_per_sec,
-                 static_cast<unsigned long long>(r.steady_allocs),
-                 r.alloc_checked ? "true" : "false", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
 
   if (alloc_failure) {
     std::fprintf(stderr,

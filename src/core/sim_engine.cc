@@ -17,7 +17,11 @@ void SimEngine::AddThread(std::unique_ptr<Workload> workload, uint64_t rng_seed)
 FsStatus SimEngine::Prepare() {
   // Setup runs sequentially on the base clock — the moral equivalent of a
   // benchmark's single-threaded preallocation phase. Cursors join the
-  // timeline at the instant setup finished.
+  // timeline at the instant setup finished. A file system whose mkfs failed
+  // runs nothing.
+  if (const FsStatus mkfs = machine_->fs().mkfs_status(); mkfs != FsStatus::kOk) {
+    return mkfs;
+  }
   machine_->BindCursor(&machine_->clock());
   for (const std::unique_ptr<SimThread>& thread : threads_) {
     const FsStatus setup = thread->workload->Setup(thread->ctx);

@@ -5,10 +5,7 @@ namespace fsbench {
 Ext3Fs::Ext3Fs(Bytes device_capacity, const FsLayoutParams& params, VirtualClock* clock,
                uint64_t journal_blocks)
     : Ext2Fs(device_capacity, params, clock) {
-  // Carve the journal out of group 0's data area, right after the header.
-  journal_region_ = Extent{GroupDataStart(0), journal_blocks};
-  alloc_.ReserveRange(journal_region_);
-  reserved_blocks_ += journal_blocks;
+  ReserveLogRegion(journal_blocks);
 }
 
 }  // namespace fsbench

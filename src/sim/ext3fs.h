@@ -22,8 +22,6 @@ class Ext3Fs : public Ext2Fs {
   const char* name() const override { return "ext3"; }
   FsKind kind() const override { return FsKind::kExt3; }
 
-  const Extent& journal_region() const { return journal_region_; }
-
   ReadaheadConfig readahead_config() const override {
     return ReadaheadConfig{ReadaheadKind::kAdaptive, /*fixed_pages=*/8, /*min_window=*/4,
                            /*max_window=*/32, /*random_cluster=*/1};
@@ -34,9 +32,6 @@ class Ext3Fs : public Ext2Fs {
   // errors=remount-ro (the distro default): a lost metadata or log write
   // aborts the journal and freezes the namespace read-only.
   bool RemountRoOnWriteError() const override { return true; }
-
- private:
-  Extent journal_region_;
 };
 
 }  // namespace fsbench

@@ -95,6 +95,18 @@ void FileSystem::InitGroups() {
   }
 }
 
+void FileSystem::ReserveLogRegion(uint64_t blocks) {
+  const uint64_t group0_blocks = std::min(params_.group_blocks, alloc_.total_blocks());
+  const uint64_t header = params_.group_header_blocks;
+  if (header > group0_blocks || blocks > group0_blocks - header) {
+    mkfs_status_ = FsStatus::kNoSpace;
+    return;
+  }
+  journal_region_ = Extent{GroupDataStart(0), blocks};
+  alloc_.ReserveRange(journal_region_);
+  reserved_blocks_ += blocks;
+}
+
 Nanos FileSystem::Now() const { return clock_ != nullptr ? clock_->now() : 0; }
 
 const Inode* FileSystem::FindInode(InodeId ino) const { return inodes_.Find(ino); }

@@ -193,6 +193,13 @@ class FileSystem {
   const BlockAllocator& allocator() const { return alloc_; }
   uint64_t live_inode_count() const { return inodes_.size(); }
 
+  // The mkfs-reserved journal (ext3) or log (XFS) region; empty for ext2.
+  const Extent& journal_region() const { return journal_region_; }
+  // kNoSpace when mkfs could not place the journal/log region (see
+  // ReserveLogRegion); such a file system gets no journal, and
+  // SimEngine::Prepare fails any run on it with this status.
+  FsStatus mkfs_status() const { return mkfs_status_; }
+
  protected:
   // --- Layout/cost policy hooks ---
 
@@ -266,6 +273,12 @@ class FileSystem {
   // via AllocatePage as needed. Returns the dir data block of the slot.
   FsResult<BlockId> EnsureDirSlotBlock(Inode& dir_inode, uint64_t slot, MetaIo* io);
 
+  // Mkfs-time journal/log placement shared by ext3 and XFS: `blocks` right
+  // after group 0's header. A region that does not fit in group 0's data
+  // area (it would overrun later groups' headers or the device) reserves
+  // nothing and sets mkfs_status() to kNoSpace.
+  void ReserveLogRegion(uint64_t blocks);
+
   // Allocates a fresh inode in a group chosen by PickGroup, charging the
   // inode bitmap + table writes. Returns null on inode exhaustion.
   Inode* AllocateInode(const Inode& parent, FileType type, MetaIo* io);
@@ -284,6 +297,8 @@ class FileSystem {
   std::unique_ptr<Journal> journal_;
   bool read_only_ = false;         // entered on meta failure when the policy says so
   uint64_t meta_io_failures_ = 0;  // permanent metadata/log I/O failures observed
+  Extent journal_region_;
+  FsStatus mkfs_status_ = FsStatus::kOk;
 
  private:
   void InitGroups();

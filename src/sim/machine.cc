@@ -154,8 +154,10 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
       // ShadowDisk's durability map must agree on the block size.
       JournalConfig journal_config = config_.journal;
       journal_config.block_sectors = ext3->sectors_per_block();
-      ext3->AttachJournal(std::make_unique<JbdJournal>(journal_io, &clock_,
-                                                       ext3->journal_region(), journal_config));
+      if (ext3->mkfs_status() == FsStatus::kOk) {  // else no region to log into
+        ext3->AttachJournal(std::make_unique<JbdJournal>(journal_io, &clock_,
+                                                         ext3->journal_region(), journal_config));
+      }
       fs_ = std::move(ext3);
       break;
     }
@@ -164,8 +166,10 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
                                          config_.xfs_log_blocks);
       JournalConfig journal_config = config_.xfs_journal;
       journal_config.block_sectors = xfs->sectors_per_block();
-      xfs->AttachJournal(std::make_unique<CilJournal>(journal_io, &clock_,
-                                                      xfs->journal_region(), journal_config));
+      if (xfs->mkfs_status() == FsStatus::kOk) {
+        xfs->AttachJournal(std::make_unique<CilJournal>(journal_io, &clock_,
+                                                        xfs->journal_region(), journal_config));
+      }
       fs_ = std::move(xfs);
       break;
     }

@@ -9,13 +9,9 @@ namespace fsbench {
 XfsFs::XfsFs(Bytes device_capacity, const FsLayoutParams& params, VirtualClock* clock,
              uint64_t log_blocks)
     : FileSystem(device_capacity, params, clock) {
-  // Carve the log out of group 0's data area, right after the header (the
-  // same mkfs-time reservation ext3 makes; real XFS centres the log in an
-  // allocation group, a placement difference the seek model can ignore at
-  // this size).
-  journal_region_ = Extent{GroupDataStart(0), log_blocks};
-  alloc_.ReserveRange(journal_region_);
-  reserved_blocks_ += log_blocks;
+  // The same placement ext3 uses; real XFS centres the log in an
+  // allocation group, a difference the seek model can ignore at this size.
+  ReserveLogRegion(log_blocks);
 }
 
 std::optional<size_t> XfsFs::FindExtent(const Inode& inode, uint64_t page) {

@@ -26,8 +26,6 @@ class XfsFs : public FileSystem {
   const char* name() const override { return "xfs"; }
   FsKind kind() const override { return FsKind::kXfs; }
 
-  const Extent& journal_region() const { return journal_region_; }
-
   ReadaheadConfig readahead_config() const override {
     // Aggressive: larger sequential window and a bigger read-around cluster.
     return ReadaheadConfig{ReadaheadKind::kAdaptive, /*fixed_pages=*/16, /*min_window=*/8,
@@ -62,8 +60,6 @@ class XfsFs : public FileSystem {
 
   // Ensures btree node blocks exist for the current extent count.
   FsStatus EnsureExtentNodes(Inode& inode, MetaIo* io);
-
-  Extent journal_region_;
 };
 
 }  // namespace fsbench

@@ -2,8 +2,10 @@
 //
 // The bench binaries emit flat JSON — {"schema": 1, "bench": "...", "seed":
 // N, "results": [{key: value, ...}, ...]} — where every value is a string,
-// a bool, or a number. benchdiff diffs a freshly produced file against the
-// committed baseline and classifies every per-cell metric change:
+// a bool, or a number. One writer produces it: BenchJson in
+// bench/bench_common.h; change the format there and in this parser only.
+// benchdiff diffs a freshly produced file against the committed baseline
+// and classifies every per-cell metric change:
 //
 //   - identity fields (strings, plus the numeric sweep keys `threads`,
 //     `rate`, `crash_op`) name the cell; two results match when all their
